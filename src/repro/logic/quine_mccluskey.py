@@ -6,9 +6,18 @@ function sizes controller synthesis produces (a dozen input variables or
 fewer).  Functions wider than :data:`EXACT_WIDTH_LIMIT` fall back to a
 single-cube-per-minterm cover with merged adjacent pairs, keeping area
 reports finite for stress-test inputs.
+
+The exact path runs on bitsets over the ``2**width`` input points: a
+Python int whose bit ``p`` stands for point ``p``.  All implicants that
+share a care mask live in one such int (bit ``v`` set: the cube
+``(care, v)`` is an implicant), so one shift-and-mask merges every pair of
+them along a variable at once, and a cube's points are one shifted mask.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from .terms import BooleanFunction, Cube
 
@@ -16,70 +25,117 @@ from .terms import BooleanFunction, Cube
 EXACT_WIDTH_LIMIT = 14
 
 
+@lru_cache(maxsize=EXACT_WIDTH_LIMIT + 1)
+def _zero_masks(width: int) -> tuple[int, ...]:
+    """Per variable ``b``, the bitset of the points whose bit ``b`` is 0."""
+    masks = []
+    for b in range(width):
+        step = 1 << b
+        mask, period = (1 << step) - 1, 2 * step
+        while period < 1 << width:
+            mask |= mask << period
+            period *= 2
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _bitset(points: Iterable[int], width: int) -> int:
+    """The bitset of a set of input points."""
+    buf = bytearray(((1 << width) + 7) // 8)
+    for point in points:
+        buf[point >> 3] |= 1 << (point & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The points of a bitset, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _cube_points(cube: Cube, zero: tuple[int, ...]) -> int:
+    """The bitset of the points a cube contains."""
+    points = (1 << (1 << cube.width)) - 1
+    for b in range(cube.width):
+        if cube.care >> b & 1:
+            points &= zero[b]
+    return points << cube.value
+
+
 def prime_implicants(function: BooleanFunction) -> frozenset[Cube]:
     """All prime implicants of ``ones ∪ dont_cares``.
 
-    Classic iterated pairwise combination: start from the minterm cubes,
-    repeatedly merge distance-one pairs, and keep every cube that never
-    merged.
+    Works level by level from the minterms (every variable cared for)
+    towards the tautology, keeping per care mask the bitset of values
+    ``v`` whose cube ``(care, v)`` is an implicant.  Merging along care
+    bit ``b`` pairs every such ``v`` with bit ``b`` clear with
+    ``v + 2**b`` in one ``S & (S >> 2**b) & Z[b]``; a cube that pairs
+    along none of its care bits is prime.
     """
-    current = {
-        Cube.minterm(function.width, m)
-        for m in function.ones | function.dont_cares
+    width = function.width
+    variables = [(1 << b, zero) for b, zero in enumerate(_zero_masks(width))]
+    level = {
+        (1 << width) - 1: _bitset(function.ones | function.dont_cares, width)
     }
-    primes: set[Cube] = set()
-    while current:
-        merged: set[Cube] = set()
-        used: set[Cube] = set()
-        # Group by popcount of value for the classic adjacency pruning.
-        by_ones: dict[int, list[Cube]] = {}
-        for cube in current:
-            by_ones.setdefault(bin(cube.value).count("1"), []).append(cube)
-        for count, group in sorted(by_ones.items()):
-            for cube in group:
-                for other in by_ones.get(count + 1, ()):
-                    combined = cube.merge_distance_one(other)
-                    if combined is not None:
-                        merged.add(combined)
-                        used.add(cube)
-                        used.add(other)
-        primes |= current - used
-        current = merged
+    primes = []
+    while level:
+        merged: dict[int, int] = {}
+        for care, values in level.items():
+            used = 0
+            for bit, zero in variables:
+                if care & bit:
+                    pairs = values & (values >> bit) & zero
+                    if pairs:
+                        used |= pairs | pairs << bit
+                        # every parent of a care mask yields the same set
+                        merged[care ^ bit] = pairs
+            unmerged = values & ~used
+            if unmerged:
+                primes.extend(
+                    Cube(width=width, care=care, value=value)
+                    for value in _members(unmerged)
+                )
+        level = merged
     return frozenset(primes)
 
 
 def _greedy_cover(
-    required: frozenset[int], candidates: frozenset[Cube]
+    function: BooleanFunction, candidates: frozenset[Cube]
 ) -> list[Cube]:
     """Essential primes first, then greedy max-coverage selection."""
-    remaining = set(required)
+    zero = _zero_masks(function.width)
+    required = _bitset(function.ones, function.width)
+    coverage = [(_cube_points(c, zero) & required, c) for c in candidates]
+    once = twice = 0
+    for cov, _ in coverage:
+        twice |= once & cov
+        once |= cov
+    # Essential primes: the only cube covering some required point.
+    single = once & ~twice
     cover: list[Cube] = []
-
-    coverage = {
-        cube: frozenset(m for m in required if cube.contains(m))
-        for cube in candidates
-    }
-    # Essential primes: the only cube covering some required minterm.
-    for minterm in sorted(required):
-        owners = [c for c in candidates if minterm in coverage[c]]
-        if len(owners) == 1 and owners[0] not in cover:
-            cover.append(owners[0])
-            remaining -= coverage[owners[0]]
-    # Greedy on the rest: most new minterms, fewest literals, stable order.
+    covered = 0
+    for cov, c in coverage:
+        if cov & single:
+            cover.append(c)
+            covered |= cov
+    remaining = required & ~covered
+    # Greedy on the rest: most new points, fewest literals, stable order.
+    ranked = [
+        (cov, (-c.num_literals, c.to_string()), c)
+        for cov, c in coverage
+        if cov & remaining
+    ]
     while remaining:
-        best = max(
-            candidates,
-            key=lambda c: (
-                len(coverage[c] & remaining),
-                -c.num_literals,
-                c.to_string(),
-            ),
-        )
-        gained = coverage[best] & remaining
-        if not gained:
+        if not ranked:
             raise AssertionError("greedy cover stuck; primes incomplete")
+        cov, _, best = max(
+            ranked, key=lambda e: ((e[0] & remaining).bit_count(), e[1])
+        )
         cover.append(best)
-        remaining -= gained
+        remaining &= ~cov
+        ranked = [entry for entry in ranked if entry[0] & remaining]
     return cover
 
 
@@ -97,7 +153,7 @@ def minimize(function: BooleanFunction) -> tuple[Cube, ...]:
     if function.width > EXACT_WIDTH_LIMIT:
         return _approximate_cover(function)
     primes = prime_implicants(function)
-    cover = _greedy_cover(function.ones, primes)
+    cover = _greedy_cover(function, primes)
     return tuple(sorted(cover))
 
 

@@ -434,9 +434,13 @@ class BatchSimulator:
                     f"batch simulation exceeded {self.max_cycles} cycles"
                 )
             flags = executing & (remaining <= _np.int16(1))
-            flag_bits = _np.packbits(
+            packed = _np.packbits(
                 flags, axis=1, bitorder="little"
-            )[:, 0].astype(_np.int64)
+            ).astype(_np.int64)
+            flag_bits = packed[:, 0]
+            # one byte per eight units, little end first
+            for byte in range(1, packed.shape[1]):
+                flag_bits |= packed[:, byte] << _np.int64(8 * byte)
             keys = (config << _np.int64(self.U)) | flag_bits
             rows = self._rowtab[keys]
             missing = rows < 0
@@ -519,7 +523,9 @@ def shared_engine(
     entry = _ENGINES.get(system)
     if entry is not None and entry[0] is bound:
         return entry[1]
-    engine = BatchSimulator(system, bound)
+    # the engine reaches its system through a proxy: a strong reference
+    # from the value would keep the weak key, and so the entry, alive
+    engine = BatchSimulator(weakref.proxy(system), bound)
     _ENGINES[system] = (bound, engine)
     return engine
 

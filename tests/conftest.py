@@ -35,6 +35,24 @@ def diffeq_result() -> SynthesisResult:
 
 
 @pytest.fixture()
+def minimized(monkeypatch) -> list:
+    """Every ``(function, cover)`` that ``repro.logic.area`` minimizes
+    while the test runs, in call order."""
+    import repro.logic.area as logic_area
+
+    calls = []
+    real = logic_area.minimize
+
+    def recording(function):
+        cover = real(function)
+        calls.append((function, cover))
+        return cover
+
+    monkeypatch.setattr(logic_area, "minimize", recording)
+    return calls
+
+
+@pytest.fixture()
 def simple_dfg() -> DataflowGraph:
     """y = (a*b) + (c*d): two concurrent mults feeding one add."""
     b = DFGBuilder("simple")

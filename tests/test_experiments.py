@@ -1,5 +1,7 @@
 """Tests for the table experiments and ablation drivers."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -12,6 +14,8 @@ from repro.experiments import (
     run_table2,
 )
 from repro.benchmarks import benchmark
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestTable1:
@@ -39,6 +43,13 @@ class TestTable1:
         assert "Area(Com./Seq.)" in text
         assert "CENT-SYNC-FSM" in text
         assert "DIST-FSM" in text
+
+    def test_render_matches_golden(self, table1):
+        """Pinned output of ``python -m repro table1``.  Regenerate with
+        ``python -m repro table1 > tests/golden/table1_diffeq.txt`` only
+        when Table 1 is meant to change."""
+        expected = (GOLDEN / "table1_diffeq.txt").read_text()
+        assert table1.render() + "\n" == expected
 
 
 class TestTable2:

@@ -102,6 +102,19 @@ class TestFsmArea:
         assert seq == 33.0
         assert comb > 0
 
+    def test_thirteen_bit_controller_is_exact(self, minimized):
+        """ar_lattice's adder controller (13 encoded input bits) is
+        minimized exactly, and every cover it needs is correct."""
+        from repro.experiments.common import synthesize_benchmark
+        from repro.logic.quine_mccluskey import verify_cover
+
+        fsm = synthesize_benchmark("ar_lattice").distributed.controller("A1")
+        assert encode(fsm, "binary").width + len(fsm.inputs) == 13
+        assert fsm_area(fsm).method == "exact"
+        assert minimized
+        for function, cover in minimized:
+            verify_cover(function, cover)
+
 
 class TestOptimize:
     def test_unreachable_removed(self):

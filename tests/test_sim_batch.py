@@ -27,6 +27,18 @@ pytestmark = pytest.mark.skipif(
 
 STYLES = ("dist", "cent-sync", "cent")
 
+#: a generated design with more than eight units, so its completion
+#: flags span more than one byte
+MANY_UNITS = "gen:ops=16,depth=3,fanout=1,mix=1-2-2,pressure=2,seed=290"
+
+
+@pytest.fixture(scope="module")
+def many_units_result():
+    from repro.benchmarks.registry import benchmark
+    from repro.experiments.common import synthesize_entry
+
+    return synthesize_entry(benchmark(MANY_UNITS))
+
 
 class TestMtStreams:
     def test_matches_cpython_random(self):
@@ -52,15 +64,24 @@ class TestMtStreams:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("style", STYLES)
-    def test_statistics_identical_to_scalar(self, fig3_result, style):
-        system = fig3_result.system(style)
+    @pytest.mark.parametrize(
+        "design, style",
+        [
+            *(pytest.param("fig3_result", s, id=s) for s in STYLES),
+            *(
+                pytest.param("many_units_result", s, id=f"many-units-{s}")
+                for s in ("dist", "cent-sync")
+            ),
+        ],
+    )
+    def test_statistics_identical_to_scalar(self, request, design, style):
+        result = request.getfixturevalue(design)
+        system = result.system(style)
         scalar = monte_carlo_latency(
-            system, fig3_result.bound, 0.7, trials=60, seed=5,
-            engine="scalar",
+            system, result.bound, 0.7, trials=60, seed=5, engine="scalar"
         )
         batched = batch_monte_carlo_latency(
-            system, fig3_result.bound, 0.7, trials=60, seed=5
+            system, result.bound, 0.7, trials=60, seed=5
         )
         assert batched == scalar
 
@@ -110,6 +131,16 @@ class TestEngineReuse:
         a = shared_engine(system, fig3_result.bound)
         b = shared_engine(system, fig3_result.bound)
         assert a is b
+
+    def test_shared_engine_dies_with_its_system(self, fig3_result):
+        import gc
+        import weakref
+
+        system = fig3_result.distributed_system()
+        engine = weakref.ref(shared_engine(system, fig3_result.bound))
+        del system
+        gc.collect()
+        assert engine() is None
 
 
 class TestGating:
