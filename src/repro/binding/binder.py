@@ -11,6 +11,7 @@ exactly the paper's Fig. 3(c) notation: ``(O0, O1) -> TAU multiplier-1``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Mapping
 
 from ..core.dfg import DataflowGraph
@@ -104,19 +105,33 @@ class BoundDataflowGraph:
         )
 
     # -- timing ----------------------------------------------------------
+    @cached_property
+    def duration_table(self) -> Mapping[str, tuple[int, ...]]:
+        """Cycles per telescope level of every op: ``[op][level]``.
+
+        Computed once per bound graph; the simulator reads it on every
+        operation start.
+        """
+        allocation = self.allocation
+        return {
+            op: tuple(
+                allocation.cycles_for_level(unit, level)
+                for level in range(allocation.unit(unit).num_levels)
+            )
+            for op, unit in self.binding.items()
+        }
+
     def duration_cycles(self, op_name: str, fast: bool) -> int:
         """Cycles one execution of an op occupies its unit (binary view)."""
-        return self.allocation.cycles_for(self.binding[op_name], fast)
+        return self.duration_table[op_name][0 if fast else -1]
 
     def duration_for_level(self, op_name: str, level: int) -> int:
         """Cycles of one execution completing at a telescope level."""
-        return self.allocation.cycles_for_level(
-            self.binding[op_name], level
-        )
+        return self.duration_table[op_name][level]
 
     def max_duration_cycles(self, op_name: str) -> int:
         """Worst-level cycle count of an op on its unit."""
-        return self.allocation.max_cycles_for(self.binding[op_name])
+        return self.duration_table[op_name][-1]
 
     def execution_edges(self) -> tuple[tuple[str, str], ...]:
         """Data edges plus schedule arcs (the execution graph)."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from collections.abc import Callable, Mapping, Sequence
 
+from ..binding.binder import BoundDataflowGraph
 from ..errors import (
     DeadlockError,
     InjectedFaultEscape,
@@ -37,11 +38,13 @@ from ..errors import (
 from ..fsm.signals import unit_of_completion
 from ..resources.completion import BernoulliCompletion, CompletionModel
 from ..resources.spec import BernoulliSpec, CompletionSpec, as_completion_spec
+from ..sim.controllers import ControllerSystem
 from ..sim.simulator import MonitorConfig, simulate
 from .models import (
     DelayedCompletionFault,
     DroppedPulseFault,
     FaultInjector,
+    FaultyControllerSystem,
     IntermittentCompletion,
     SpuriousPulseFault,
     StateFlipFault,
@@ -403,7 +406,8 @@ def _classify(exc: SimulationError) -> "tuple[str, str | None]":
 
 
 def _run_trial(
-    result,
+    systems: Mapping[str, ControllerSystem],
+    bound: BoundDataflowGraph,
     seed: int,
     spec: CompletionSpec,
     inputs: Mapping[str, int],
@@ -414,28 +418,29 @@ def _run_trial(
     ``task`` is ``(style, span, trial)``.  Everything the trial touches —
     fault choice, simulation seed, input values — derives from those plus
     the campaign arguments, so the same task produces the same record in
-    any process.  The fault menu is rebuilt per trial because its entries
-    are closures (unpicklable); menu construction is cheap next to the
-    three simulations a trial runs.
+    any process.  ``systems`` holds one controller system per style,
+    shared by every trial of the campaign so their transition tables stay
+    warm; injectors wrap it without changing it.  The fault menu is
+    rebuilt per trial because its entries are closures (unpicklable);
+    menu construction is cheap next to the two simulations a trial runs.
     """
     style, span, trial = task
-    bound = result.bound
+    shared = systems[style]
     monitors = MonitorConfig(handshake=True)
-    probe = _system_for(result, style)
-    menu = _fault_menu(probe, bound, span)
+    menu = _fault_menu(shared, bound, span)
     rng = random.Random(f"{seed}:{style}:{trial}")
     fault = menu[rng.randrange(len(menu))](rng)
     sim_seed = rng.randrange(2**32)
     clean = simulate(
-        _system_for(result, style),
+        shared,
         bound,
         spec.model(),
         seed=sim_seed,
         inputs=inputs,
     )
-    system = _system_for(result, style)
+    system: "ControllerSystem | FaultyControllerSystem" = shared
     if fault.injector is not None:
-        system = inject(system, fault.injector)
+        system = inject(shared, fault.injector)
     completion: CompletionModel = spec.model()
     if fault.wrap_completion is not None:
         completion = fault.wrap_completion(completion)
@@ -497,7 +502,9 @@ def run_campaign(
     ``result`` is a :class:`~repro.api.SynthesisResult`.  Every faulty run
     executes with the value-computing datapath and all runtime monitors
     (strict handshake included); a clean twin of each trial provides the
-    latency baseline for tolerated faults.
+    latency baseline for tolerated faults.  One controller system per
+    style serves every trial, so its transition table stays warm from
+    trial to trial (pool workers each unpickle their own cold copy).
 
     ``workers > 1`` fans the trials out over a process pool via
     :func:`~repro.perf.engine.parallel_map`; every trial is a pure
@@ -526,10 +533,11 @@ def run_campaign(
     bound = result.bound
     name = benchmark if benchmark is not None else bound.dfg.name
     inputs = _deterministic_inputs(bound)
+    systems = {style: _system_for(result, style) for style in styles}
     tasks: list[tuple[str, int, int]] = []
     for style in styles:
         calibration = simulate(
-            _system_for(result, style),
+            systems[style],
             bound,
             spec.model(),
             seed=seed,
@@ -548,7 +556,7 @@ def run_campaign(
         else ""
     )
     records = checkpointed_map(
-        partial(_run_trial, result, seed, spec, inputs),
+        partial(_run_trial, systems, bound, seed, spec, inputs),
         tasks,
         run_key=run_key,
         checkpoint=checkpoint,

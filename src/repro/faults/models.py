@@ -32,11 +32,10 @@ a performance fault rather than a protocol fault.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 
 from ..errors import SimulationError
-from ..fsm.signals import is_op_completion, op_of_completion
 from ..resources.completion import DelegatingCompletion
 from ..sim.controllers import ControllerSystem, SystemConfig, SystemStep
 
@@ -97,16 +96,6 @@ class FaultInjector(abc.ABC):
     def target(self) -> "dict[str, object]":
         """Machine-readable target description for campaign reports."""
         return {"kind": self.kind}
-
-
-def _replace_config(step: SystemStep, config: SystemConfig) -> SystemStep:
-    return SystemStep(
-        config=config,
-        outputs=step.outputs,
-        starts=step.starts,
-        completes=step.completes,
-        overruns=step.overruns,
-    )
 
 
 @dataclass
@@ -334,9 +323,9 @@ class StateFlipFault(FaultInjector):
         if not candidates:
             return step
         states[index] = candidates[self.pick % len(candidates)]
-        return _replace_config(
+        return replace(
             step,
-            SystemConfig(
+            config=SystemConfig(
                 states=tuple(states), flags=step.config.flags
             ),
         )
@@ -399,10 +388,12 @@ class FaultyControllerSystem:
     """A :class:`ControllerSystem` with fault injectors spliced in.
 
     Duck-types the simulator-facing surface of the wrapped system and
-    applies every injector around each ``step``: CSG values are perturbed
-    before the controllers see them, states and arrival latches after.
-    The wrapper counts cycles itself (one ``step`` call per cycle), so it
-    must not be reused across simulation runs — build a fresh one per run.
+    applies every injector around each ``transition``: CSG values are
+    perturbed before the controllers see them, states and arrival latches
+    after.  The wrapper counts cycles itself (one ``transition`` call per
+    cycle), so it must not be reused across simulation runs — build a
+    fresh one per run.  The wrapped system may be shared: fault-free
+    evaluations read its transition table, pulse glitches bypass it.
     """
 
     def __init__(
@@ -447,19 +438,19 @@ class FaultyControllerSystem:
         """Last cycle any injector may still act spontaneously."""
         return max((i.horizon for i in self._injectors), default=-1)
 
-    def step(self, config: SystemConfig, unit_completions) -> SystemStep:
+    def transition(
+        self, config: SystemConfig, unit_completions
+    ) -> SystemStep:
+        """One faulty clock edge (the simulator calls this once a cycle)."""
         cycle = self._cycle
         completions = dict(unit_completions)
         for injector in self._injectors:
             injector.on_unit_completions(cycle, completions)
-        # Trial evaluation (the step function is pure): which completion
-        # nets pulse this cycle, so net-glitch injectors see real traffic.
-        trial = self._inner.step(config, completions)
-        emitted = frozenset(
-            op_of_completion(s)
-            for s in trial.outputs
-            if is_op_completion(s)
-        )
+        # Fault-free trial evaluation (the step function is pure): which
+        # completion nets pulse this cycle, so net-glitch injectors see
+        # real traffic.
+        trial = self._inner.transition(config, completions)
+        emitted = frozenset(op for op, _ in trial.emitters)
         suppress: set[str] = set()
         injected: set[str] = set()
         for injector in self._injectors:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Iterable, Iterator
 
 from ..core.dfg import DataflowGraph
@@ -156,12 +157,16 @@ class ResourceAllocation:
     def __len__(self) -> int:
         return len(self.units)
 
+    @cached_property
+    def _units_by_name(self) -> dict[str, ArithmeticUnit]:
+        return {u.name: u for u in self.units}
+
     def unit(self, name: str) -> ArithmeticUnit:
         """Look up a unit by name."""
-        for u in self.units:
-            if u.name == name:
-                return u
-        raise AllocationError(f"no unit named {name!r}")
+        unit = self._units_by_name.get(name)
+        if unit is None:
+            raise AllocationError(f"no unit named {name!r}")
+        return unit
 
     def units_of_class(
         self, resource_class: ResourceClass
@@ -186,6 +191,10 @@ class ResourceAllocation:
         The smallest period at which something completes every cycle: the
         maximum over telescopic first-level delays and fixed delays.
         """
+        return self._clock_period_ns
+
+    @cached_property
+    def _clock_period_ns(self) -> float:
         period = 0.0
         for u in self.units:
             if u.is_telescopic:

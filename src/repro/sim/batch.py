@@ -19,8 +19,11 @@ with trial-major numpy arrays:
   flags)`` pairs, so each is expanded once into dense row tables
   (next config id, per-unit keep masks, completed-op bitmask, started
   ops) and every cycle becomes a handful of array gathers across all
-  live trials.  The memo persists on the :class:`BatchSimulator`, so
-  repeated campaigns over the same design skip expansion entirely.
+  live trials.  The memo persists on the :class:`BatchSimulator`, and
+  :func:`shared_engine` keeps one engine per live system object, so
+  only calls on the same engine or the same system object reuse it.
+  ``SynthesisResult.monte_carlo_latency`` builds a fresh system per
+  call, so each of its calls starts with a cold memo.
 * **Bitvector completion tracking.**  Completed ops accumulate into one
   int64 bitmask per trial; a trial finishes the cycle its mask covers
   every operation, matching the scalar first-iteration latency
@@ -202,8 +205,11 @@ class BatchSimulator:
 
     Construction compiles the op/unit tables; the transition memo then
     grows on demand as trials visit new ``(config, flags)`` pairs and is
-    kept across :meth:`latencies` calls — a warm engine simulates 100k
-    AR-lattice trials without a single Python-level ``step`` call.
+    kept across :meth:`latencies` calls on this engine.  Reuse needs the
+    same engine object (or, through :func:`shared_engine`, the same
+    system object): an engine built for a fresh system expands every
+    pair it visits again, through
+    :meth:`~repro.sim.controllers.ControllerSystem.step`.
     """
 
     def __init__(

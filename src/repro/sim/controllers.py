@@ -22,12 +22,21 @@ A structural property makes one-pass pulse resolution sound: a controller's
 *outputs* never depend on its ``CC_*`` inputs (only the chosen target state
 does).  Algorithm 1 produces only such FSMs; the step function verifies the
 property at run time and fails loudly otherwise.
+
+Purity also makes every fault-free step a function of the configuration and
+the ``C_<unit>`` values the controllers read, so
+:meth:`ControllerSystem.transition` serves repeated steps from one interned
+table.  Callers that replay many trials of one design (the simulator, fault
+campaigns) read through it; callers that visit each key once (the model
+checker, the CENT product builder, the batch engine's memo) call
+:meth:`ControllerSystem.step` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Hashable, Mapping
+from typing import Any
 
 from ..binding.binder import BoundDataflowGraph
 from ..errors import SimulationError
@@ -64,6 +73,12 @@ class SystemStep:
     was consumed — impossible within one dataflow iteration, but observable
     under overlapped iterations, where it marks the point a real design
     would need deeper token buffering.
+
+    ``emitters`` pairs every ``CC`` net the controllers drive this cycle
+    with the keys of the controllers driving it, in op order (pass 1 of
+    :meth:`ControllerSystem.step`, before any injected glitch).  A healthy
+    network never has two emitters for one operation in the same cycle,
+    which is exactly what the model checker's MC-RACE rule looks for.
     """
 
     config: SystemConfig
@@ -71,6 +86,7 @@ class SystemStep:
     starts: frozenset[str]
     completes: frozenset[str]
     overruns: frozenset[tuple[str, str, str]] = frozenset()
+    emitters: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
 class ControllerSystem:
@@ -80,6 +96,11 @@ class ControllerSystem:
     operations whose arrival flags that start consumes — i.e. the op's
     cross-unit direct predecessors.  Use :func:`system_from_bound` to build
     it from a bound graph.
+
+    The system owns one table of fault-free transitions, filled by
+    :meth:`transition`.  It lives as long as the system object, so reuse
+    the object to reuse the table; pickling (e.g. shipping the system to a
+    pool worker) drops it.
     """
 
     def __init__(
@@ -133,6 +154,35 @@ class ControllerSystem:
                     )
                 per_state[state] = next(iter(queries), None)
             self._state_query[key] = per_state
+        ops: set[str] = set()
+        initial_starts: set[str] = set()
+        for fsm in self._fsms.values():
+            initial_starts |= fsm.initial_starts
+            for t in fsm.transitions:
+                ops |= t.starts | t.completes
+        self._initial_starts = frozenset(initial_starts)
+        self._all_ops = frozenset(ops | initial_starts)
+        # the units whose C_<unit> value some controller reads: with the
+        # configuration, everything a fault-free step depends on
+        self._read_units = tuple(
+            unit_of_completion(s) for s in self.unit_completion_inputs()
+        )
+        self._clear_table()
+
+    def _clear_table(self) -> None:
+        self._table: dict[tuple, SystemStep] = {}
+        # canonical instance of every config, frozenset and tuple the
+        # table holds, so equal values across entries are one object
+        self._shared: dict[Hashable, Any] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_table"], state["_shared"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clear_table()
 
     # -- introspection -----------------------------------------------------
     @property
@@ -167,40 +217,9 @@ class ControllerSystem:
                     edges.append((key, consumer, producer))
         return tuple(edges)
 
-    def pulse_emitters(
-        self,
-        config: SystemConfig,
-        unit_completions: Mapping[str, bool],
-    ) -> dict[str, tuple[str, ...]]:
-        """Which controller(s) emit each ``CC`` pulse this cycle.
-
-        Mirrors pass 1 of :meth:`step` (flag-only CC inputs — sound
-        because outputs never depend on CC inputs) without advancing any
-        state.  The result maps the pulsed operation to the emitting
-        controller keys, in key order; a healthy network never has two
-        emitters for one operation in the same cycle, which is exactly
-        what the model checker's MC-RACE rule looks for.
-        """
-        emitters: dict[str, tuple[str, ...]] = {}
-        for key, state in zip(self._keys, config.states):
-            inputs = self._inputs_for(
-                key, state, config.flags, frozenset(), unit_completions
-            )
-            transition = self._fsms[key].step(state, inputs)
-            for signal in transition.outputs:
-                if is_op_completion(signal):
-                    op = op_of_completion(signal)
-                    emitters[op] = emitters.get(op, ()) + (key,)
-        return emitters
-
     def all_ops(self) -> frozenset[str]:
         """Every operation some controller starts or completes."""
-        ops: set[str] = set()
-        for fsm in self._fsms.values():
-            ops |= fsm.initial_starts
-            for t in fsm.transitions:
-                ops |= t.starts | t.completes
-        return frozenset(ops)
+        return self._all_ops
 
     # -- configuration -------------------------------------------------------
     def initial_config(self) -> SystemConfig:
@@ -212,10 +231,7 @@ class ControllerSystem:
 
     def initial_starts(self) -> frozenset[str]:
         """Operations executing during cycle 0."""
-        result: set[str] = set()
-        for key in self._keys:
-            result |= self._fsms[key].initial_starts
-        return frozenset(result)
+        return self._initial_starts
 
     # -- the cycle ----------------------------------------------------------
     def step(
@@ -242,7 +258,7 @@ class ControllerSystem:
         """
         flags = config.flags
         # Pass 1: outputs (hence CC pulses) with flag-only CC inputs.
-        pulses: set[str] = set()
+        emitters: dict[str, tuple[str, ...]] = {}
         pass1_transitions: dict = {}
         for key, state in zip(self._keys, config.states):
             inputs = self._inputs_for(
@@ -252,7 +268,9 @@ class ControllerSystem:
             pass1_transitions[key] = transition
             for signal in transition.outputs:
                 if is_op_completion(signal):
-                    pulses.add(op_of_completion(signal))
+                    op = op_of_completion(signal)
+                    emitters[op] = emitters.get(op, ()) + (key,)
+        pulses = set(emitters)
         pulses -= suppress_pulses
         pulses |= inject_pulses
         # Pass 2: state choice with pulse-or-flag CC inputs.  A state
@@ -315,6 +333,50 @@ class ControllerSystem:
             starts=frozenset(starts),
             completes=frozenset(completes),
             overruns=frozenset(overruns),
+            emitters=tuple(sorted(emitters.items())),
+        )
+
+    def transition(
+        self, config: SystemConfig, unit_completions: Mapping[str, bool]
+    ) -> SystemStep:
+        """The fault-free :meth:`step`, served from the interned table.
+
+        The table is keyed on ``config`` plus the values of the
+        ``C_<unit>`` inputs the controllers read, which is everything a
+        fault-free step depends on.  A miss computes through :meth:`step`
+        with every check intact (a step that raises is not stored), and
+        the stored step shares its configuration, sets and tuples with
+        earlier entries.  Pulse glitches are not served here: call
+        :meth:`step` with ``suppress_pulses``/``inject_pulses``.
+        """
+        key = (
+            config,
+            tuple(map(bool, map(unit_completions.get, self._read_units))),
+        )
+        found = self._table.get(key)
+        if found is None:
+            found = self._table[key] = self._share(
+                self.step(config, unit_completions)
+            )
+        return found
+
+    def _share(self, step: SystemStep) -> SystemStep:
+        """``step`` rebuilt from the table's canonical instances."""
+        share = self._shared.setdefault
+        config = self._shared.get(step.config)
+        if config is None:
+            states, flags = step.config.states, step.config.flags
+            config = SystemConfig(
+                states=share(states, states), flags=share(flags, flags)
+            )
+            self._shared[config] = config
+        return SystemStep(
+            config=config,
+            outputs=share(step.outputs, step.outputs),
+            starts=share(step.starts, step.starts),
+            completes=share(step.completes, step.completes),
+            overruns=share(step.overruns, step.overruns),
+            emitters=share(step.emitters, step.emitters),
         )
 
     def _inputs_for(

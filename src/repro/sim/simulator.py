@@ -8,7 +8,8 @@ CENT-FSM — clock edge by clock edge:
    unit (optionally feeding it real operand values from a
    :class:`~repro.sim.datapath.Datapath`),
 2. present each unit's CSG value during the operation's first cycle,
-3. step every controller, deliver completion pulses, update latches,
+3. step every controller (through the system's interned transition
+   table), deliver completion pulses, update latches,
 4. record start/finish cycles per operation and per iteration.
 
 The first-iteration latency this measures is exactly what the paper's
@@ -116,9 +117,10 @@ def simulate(
     missing = ops - set(bound.dfg.op_names())
     if missing:
         raise SimulationError(f"controllers reference unknown ops {missing}")
+    durations = bound.duration_table
     if max_cycles is None:
         max_cycles = 16 + 4 * iterations * sum(
-            bound.duration_cycles(op, fast=False) for op in ops
+            durations[op][-1] for op in ops
         )
     datapath = Datapath(bound.dfg, inputs) if inputs is not None else None
     trace = SimulationTrace() if record_trace else None
@@ -133,20 +135,11 @@ def simulate(
     iteration_finish: list[int] = []
     overruns = 0
 
-    # Per-op lookup tables, hoisted out of the cycle loop: unit
-    # resolution and duration computation walk the allocation on every
-    # call, which dominated ``begin`` on large graphs.
     unit_of_op = {op: bound.unit_of(op) for op in ops}
     unit_name_of = {op: unit.name for op, unit in unit_of_op.items()}
     telescopic = frozenset(
         op for op, unit in unit_of_op.items() if unit.is_telescopic
     )
-    fixed_duration = {
-        op: bound.duration_cycles(op, fast=True)
-        for op in ops
-        if op not in telescopic
-    }
-    level_duration: dict[tuple[str, int], int] = {}
 
     def begin(op: str, cycle: int) -> None:
         unit_name = unit_name_of[op]
@@ -166,13 +159,9 @@ def simulate(
             level = int(
                 completion.sample_level(op, unit_of_op[op], operands, rng)
             )
-            duration = level_duration.get((op, level))
-            if duration is None:
-                duration = bound.duration_for_level(op, level)
-                level_duration[(op, level)] = duration
         else:
             level = 0
-            duration = fixed_duration[op]
+        duration = durations[op][level]
         level_outcomes[op].append(level)
         fast_outcomes[op].append(level == 0)
         executing[unit_name] = (op, duration, cycle)
@@ -289,7 +278,7 @@ def simulate(
                 previous_snapshot = snapshot
             else:
                 previous_snapshot = None
-        result = system.step(config, unit_completions)
+        result = system.transition(config, unit_completions)
         if trace is not None:
             trace.append(
                 CycleRecord(

@@ -335,17 +335,13 @@ class _Explorer:
             for unit, (op, left) in executing.items()
         }
         try:
-            emitters = self.system.pulse_emitters(
-                state.config, unit_completions
-            )
             step = self.system.step(state.config, unit_completions)
         except (FSMError, SimulationError) as exc:
             self.wedged[state_id] = str(exc)
             return
         next_depth = self.depth[state_id] + 1
         # MC-RACE (a): two controllers asserting one CC net.
-        for op in sorted(emitters):
-            keys = emitters[op]
+        for op, keys in step.emitters:
             if len(keys) > 1:
                 self._record(
                     "MC-RACE",

@@ -1,5 +1,7 @@
 """Campaign-level tests: classification, reproducibility, reporting."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import InjectedFaultEscape
@@ -60,6 +62,16 @@ class TestReproducibility:
         a = run_campaign(fig2_result, trials=5, seed=7, benchmark="fig2")
         b = run_campaign(fig2_result, trials=5, seed=7, benchmark="fig2")
         assert a.to_json() == b.to_json()
+
+    def test_fig2_campaign_matches_golden_json(self):
+        """``repro faults fig2 --trials 10 --seed 0 --json`` output, pinned.
+
+        Trials share one controller system per style and read its
+        transition table; the records must not notice.
+        """
+        golden = Path(__file__).parent / "golden" / "faults_fig2.json"
+        report = run_benchmark_campaign("fig2", trials=10, seed=0)
+        assert (report.to_json() + "\n").encode() == golden.read_bytes()
 
     def test_different_seed_different_faults(self, fig2_result):
         a = run_campaign(fig2_result, trials=5, seed=7, benchmark="fig2")

@@ -7,6 +7,8 @@ fixed — a failing test here means detection behavior changed, not that a
 random draw got unlucky.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import DeadlockError, ProtocolError, SimulationError
@@ -195,6 +197,54 @@ class TestStateFlip:
         )
         with pytest.raises(SimulationError, match="not a"):
             simulate(system, fig3_result.bound, AllFastCompletion())
+
+    def test_flip_rewrites_only_the_config(self, fig3_result):
+        """Every step field but the flipped state survives the flip."""
+        inner = fig3_result.distributed_system()
+        config = inner.initial_config()
+        for _ in range(8):
+            step = inner.step(config, {"TM1": True, "TM2": True})
+            if step.emitters:
+                break
+            config = step.config
+        assert step.emitters
+        flip = StateFlipFault(controller="TM1", cycle=0, pick=1)
+        flipped = flip.after_step(0, inner, config, step)
+        index = inner.keys.index("TM1")
+        assert flipped.config.states[index] != step.config.states[index]
+        assert flipped.config.flags == step.config.flags
+        for field in dataclasses.fields(step):
+            if field.name != "config":
+                assert getattr(flipped, field.name) == getattr(
+                    step, field.name
+                ), field.name
+
+    def test_faulty_trial_reads_the_shared_table(
+        self, fig3_result, monkeypatch
+    ):
+        """A fault that never fires replays the clean run from the table."""
+        inner = fig3_result.distributed_system()
+        inputs = {n: i + 1 for i, n in enumerate(fig3_result.dfg.inputs)}
+        clean = simulate(
+            inner, fig3_result.bound, AllFastCompletion(), inputs=inputs
+        )
+        calls = []
+        real_step = inner.step
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(inner, "step", counted)
+        late = StateFlipFault(controller="TM1", cycle=clean.cycles + 5)
+        faulty = simulate(
+            inject(inner, late),
+            fig3_result.bound,
+            AllFastCompletion(),
+            inputs=inputs,
+        )
+        assert faulty.cycles == clean.cycles
+        assert calls == []
 
 
 class TestIntermittentCompletion:

@@ -1,10 +1,19 @@
 """Unit tests for the communicating controller system runtime."""
 
-import pytest
+import pickle
+import random
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.benchmarks.registry import benchmark, core_benchmark_names
 from repro.errors import SimulationError
+from repro.experiments.common import synthesize_entry
+from repro.faults import DroppedPulseFault, SpuriousPulseFault, inject
 from repro.fsm.algorithm1 import derive_all_unit_controllers
 from repro.fsm.model import FSM, make_transition
+from repro.fsm.signals import unit_of_completion
 from repro.sim.controllers import (
     ControllerSystem,
     single_fsm_system,
@@ -179,3 +188,127 @@ def test_single_fsm_system(fig2_result):
     system = single_fsm_system(fig2_result.cent_sync_fsm)
     assert system.keys == ("central",)
     assert system.all_ops() == set(fig2_result.dfg.op_names())
+
+
+# ----------------------------------------------------------------------
+# The interned transition table behind ``ControllerSystem.transition``.
+# ----------------------------------------------------------------------
+def _glitch_leaves_table_alone(system, config, values, rng):
+    """Run one pulse-glitch cycle through a fault wrapper of ``system``."""
+    emitted = [op for op, _ in system.transition(config, values).emitters]
+    producers = sorted(system.all_ops())
+    injectors = [
+        SpuriousPulseFault(producer_op=rng.choice(producers), cycle=0)
+    ]
+    if emitted:
+        injectors.append(
+            DroppedPulseFault(producer_op=rng.choice(emitted), occurrence=1)
+        )
+    size = len(system._table)
+    inject(system, *injectors).transition(config, values)
+    assert len(system._table) == size
+
+
+def check_table_against_fresh_step(result, style, seed, walks=6, cycles=40):
+    """Random CSG walks: every table-served step equals a fresh ``step``.
+
+    Every walk restarts at the initial configuration, so later walks
+    replay keys earlier walks stored.  Every seventh cycle also runs a
+    pulse glitch, which must leave the table as it was, and then re-reads
+    the same key fault-free.
+    """
+    system = result.system(style)
+    fresh = result.system(style)
+    cold = pickle.dumps(system)
+    rng = random.Random(seed)
+    units = sorted(
+        unit_of_completion(s) for s in system.unit_completion_inputs()
+    )
+    # a unit no controller reads must not split table keys
+    units.append("not-a-unit")
+    for _ in range(walks):
+        config = system.initial_config()
+        for cycle in range(cycles):
+            values = {unit: rng.random() < 0.5 for unit in units}
+            step = system.transition(config, values)
+            assert step == fresh.step(config, values)
+            if cycle % 7 == 6:
+                _glitch_leaves_table_alone(system, config, values, rng)
+                again = system.transition(config, values)
+                assert again == fresh.step(config, values)
+            config = step.config
+    assert system._table
+    assert pickle.dumps(system) == cold
+    assert pickle.loads(pickle.dumps(system))._table == {}
+
+
+STYLES = ("dist", "cent-sync")
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("name", core_benchmark_names())
+def test_table_matches_fresh_step_on_core_designs(name, style):
+    check_table_against_fresh_step(
+        synthesize_entry(benchmark(name)), style, seed=name
+    )
+
+
+generated_names = st.builds(
+    lambda ops, depth, fanout, mix, pressure, seed: (
+        f"gen:ops={ops},depth={min(depth, ops)},fanout={fanout},"
+        f"mix={mix},pressure={pressure},seed={seed}"
+    ),
+    st.integers(4, 24),
+    st.integers(2, 8),
+    st.integers(1, 4),
+    st.sampled_from(("2-2-1", "1-1-1", "3-1-1", "1-2-2")),
+    st.integers(2, 5),
+    st.integers(0, 999),
+)
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(generated_names, st.sampled_from(STYLES), st.integers(0, 2**16))
+def test_table_matches_fresh_step_on_generated_designs(name, style, seed):
+    check_table_against_fresh_step(
+        synthesize_entry(benchmark(name)), style, seed=seed, walks=3
+    )
+
+
+def test_table_shares_configs_and_sets(fig3_result):
+    """Equal values across table entries are one object."""
+    system = fig3_result.distributed_system()
+    config = system.initial_config()
+    for cycle in range(30):
+        values = {"TM1": cycle % 3 == 0, "TM2": cycle % 2 == 0}
+        config = system.transition(config, values).config
+    entries = list(system._table.values())
+    for field in ("config", "outputs", "starts", "completes", "emitters"):
+        by_value = {}
+        for entry in entries:
+            value = getattr(entry, field)
+            assert by_value.setdefault(value, value) is value
+    for entry in entries:
+        assert entry.config is system._shared[entry.config]
+
+
+def test_step_reports_emitters(fig3_result):
+    """``emitters`` names the controller driving each pulsed CC net."""
+    system = fig3_result.distributed_system()
+    config = system.initial_config()
+    seen = False
+    for _ in range(12):
+        step = system.step(config, {"TM1": True, "TM2": True})
+        ops = [op for op, _ in step.emitters]
+        assert ops == sorted(ops)
+        for op, keys in step.emitters:
+            assert f"CC_{op}" in step.outputs
+            assert len(keys) == 1
+            assert f"CC_{op}" in system.fsm(keys[0]).outputs
+            seen = True
+        config = step.config
+    assert seen
