@@ -103,9 +103,9 @@ def _bench_deterministic(data: dict) -> dict:
             "mean_cycles": row["monte_carlo"]["mean_cycles"],
             "p95_cycles": row["monte_carlo"]["p95_cycles"],
         }
-        exact = row.get("exact_expectation")
-        if exact is not None:
-            entry["exact_value"] = exact["value"]
+        engine = row.get("exact_engine")
+        if engine is not None:
+            entry["exact_value"] = engine["mean_cycles"]
         out[name] = entry
     return out
 

@@ -29,8 +29,8 @@ from .engine import resolve_workers
 
 #: benchmarks the core bench sweeps — every fixed registered design,
 #: straight from the registry (the single source of the name list); the
-#: AR-lattice row is the heaviest legacy enumeration (16 TAU ops,
-#: 65536 assignments) and the fdct/ewf rows the largest graphs
+#: AR-lattice row has the most TAU ops (16) and the fdct/ewf rows the
+#: largest graphs
 CORE_BENCHMARKS = core_benchmark_names()
 
 #: extra Monte-Carlo trials the vectorized engine is timed over — the
@@ -84,13 +84,6 @@ class BenchReport:
                 f"workers (×{mc['speedup']:.2f}), "
                 f"mean {mc['mean_cycles']:.3f} cycles"
             )
-            exact = row.get("exact_expectation")
-            if exact is not None:
-                lines.append(
-                    f"    exact E[latency] {exact['value']:.4f} cycles "
-                    f"in {exact['seconds']:.3f} s "
-                    f"({exact['assignments']} assignments)"
-                )
             engine = row.get("exact_engine")
             if engine is not None:
                 lines.append(
@@ -127,7 +120,7 @@ def _bench_row(
     and leased to fabric worker nodes like any other shard.
     """
     from ..analysis.exact_engine import analyze_dist_latency
-    from ..analysis.latency import DistLatencyEvaluator, exact_expected_latency
+    from ..analysis.latency import DistLatencyEvaluator
     from ..api import synthesize
     from ..benchmarks.registry import benchmark
     from ..perf.cache import SynthesisCache
@@ -188,21 +181,12 @@ def _bench_row(
         # plain Bernoulli keeps the scalar fast path (byte-identical to
         # the legacy float argument); per-unit resolves op marginals;
         # correlated specs have no i.i.d. analytical model, so the
-        # exact sections are omitted from the row entirely
+        # exact section is omitted from the row entirely
         p_value: "float | dict[str, float]" = (
             spec.p
             if isinstance(spec, BernoulliSpec)
             else spec.op_probabilities(result.bound, tau_ops)
         )
-        exact_s, value = _time_call(
-            lambda: exact_expected_latency(evaluator, tau_ops, p_value),
-            repeats,
-        )
-        row["exact_expectation"] = {
-            "seconds": _round(exact_s),
-            "value": round(float(value), 6),
-            "assignments": 2 ** len(tau_ops),
-        }
         analysis_s, analysis = _time_call(
             lambda: analyze_dist_latency(evaluator, tau_ops, p_value),
             repeats,
@@ -220,8 +204,9 @@ def _bench_row(
     if batch_supported(system, result.bound):
         batch_engine = BatchSimulator(system, result.bound)
         batch_trials = trials * BATCH_TRIALS_FACTOR
-        # one cold run grows the transition memo; the timed runs then
-        # measure the steady-state (campaign) throughput
+        # one cold run grows the transition memo and fills the shared
+        # trial-stream block; the timed runs then measure the
+        # steady-state (campaign) throughput
         batch_engine.latencies(spec, batch_trials, seed)
         batch_s, batch_stats = _time_call(
             lambda: batch_engine.statistics(spec, batch_trials, seed),
@@ -361,9 +346,6 @@ def _comparable_metrics(row: dict) -> "dict[str, float]":
     mc = row.get("monte_carlo")
     if mc and mc.get("trials"):
         metrics["mc_serial_per_trial"] = mc["serial_s"] / mc["trials"]
-    exact = row.get("exact_expectation")
-    if exact is not None:
-        metrics["exact_expectation"] = exact["seconds"]
     engine = row.get("exact_engine")
     if engine is not None:
         metrics["exact_engine"] = engine["seconds"]
@@ -461,7 +443,10 @@ def _value_drifts(old: dict, new: dict) -> "list[str]":
     Timing noise is expected; *result* drift (exact expectations,
     Monte-Carlo means at identical trials/seed/completion model) means
     the engines changed behaviour and always fails the gate.  Reports
-    with different completion specs only diff on timings.
+    with different completion specs only diff on timings.  The exact
+    expectation is read from ``exact_engine.mean_cycles``, which equals
+    the ``exact_expectation.value`` that reports written before that
+    section was dropped also carry.
     """
     drifts: list[str] = []
     old_completion = _report_completion(old)
@@ -477,13 +462,10 @@ def _value_drifts(old: dict, new: dict) -> "list[str]":
     for name in sorted(set(old_rows) & set(new_rows)):
         old_row, new_row = old_rows[name], new_rows[name]
         if same_p:
-            for section in ("exact_expectation",):
-                a = (old_row.get(section) or {}).get("value")
-                b = (new_row.get(section) or {}).get("value")
-                if a is not None and b is not None and a != b:
-                    drifts.append(
-                        f"{name}.{section}.value {a} -> {b}"
-                    )
+            a = (old_row.get("exact_engine") or {}).get("mean_cycles")
+            b = (new_row.get("exact_engine") or {}).get("mean_cycles")
+            if a is not None and b is not None and a != b:
+                drifts.append(f"{name}.exact_engine.mean_cycles {a} -> {b}")
         if same_mc:
             a = (old_row.get("monte_carlo") or {}).get("mean_cycles")
             b = (new_row.get("monte_carlo") or {}).get("mean_cycles")

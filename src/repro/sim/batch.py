@@ -13,6 +13,13 @@ with trial-major numpy arrays:
   tempers the first ``2*draws`` outputs directly from the seeded state
   (no twist is needed below 227 outputs), yielding the same
   53-bit doubles ``random.random()`` would return, bit for bit.
+* **Shared trial streams.**  The draws depend only on ``(seed,
+  trials)``, not on the design, so :func:`trial_streams` keeps one
+  read-only block per key for the few most recent keys and every
+  engine reads it: calls with the same ``(seed, trials)`` derive the
+  trial seeds and seed the MT19937 states once.  A call that needs
+  more draws per trial regenerates the block wider, with the same
+  leading columns.
 * **Transition memo.**  The cycle step is driven by the *real*
   :meth:`~repro.sim.controllers.ControllerSystem.step` — but a system
   only ever visits a few thousand distinct ``(config, completion
@@ -23,7 +30,8 @@ with trial-major numpy arrays:
   :func:`shared_engine` keeps one engine per live system object, so
   only calls on the same engine or the same system object reuse it.
   ``SynthesisResult.monte_carlo_latency`` builds a fresh system per
-  call, so each of its calls starts with a cold memo.
+  call, so each of its calls starts with a cold memo (but a shared
+  stream block).
 * **Bitvector completion tracking.**  Completed ops accumulate into one
   int64 bitmask per trial; a trial finishes the cycle its mask covers
   every operation, matching the scalar first-iteration latency
@@ -41,6 +49,8 @@ anything it cannot reproduce exactly (>63 ops, missing numpy).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -193,6 +203,55 @@ def mt_streams(seeds, draws: int, chunk: int = 16384):
     return result
 
 
+# -- shared trial streams ------------------------------------------------
+
+#: the stream table keeps the blocks of the most recent ``(seed,
+#: trials)`` keys: at most this many keys and this many block bytes
+_STREAM_KEYS = 4
+_STREAM_BYTES = 64 << 20
+
+# (seed, trials) -> (derived trial seeds, read-only draw block), least
+# recently used first
+_STREAMS: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
+_STREAMS_LOCK = threading.Lock()
+
+
+def trial_streams(seed: int, trials: int, draws: int):
+    """Read-only draw block, at least ``draws`` wide, for ``(seed, trials)``.
+
+    Row ``t`` holds ``random.Random(derive_seed(seed, t))``'s first
+    doubles.  Every engine shares the block of a key, so calls with the
+    same ``(seed, trials)`` derive the seeds and seed the MT19937 states
+    once.  A request wider than the kept block regenerates it wider;
+    MT19937 output ``j`` does not depend on how many outputs are
+    tempered, so the leading columns stay byte-identical.
+    """
+    from ..perf.engine import derive_seed
+
+    _require_numpy()
+    key = (seed, trials)
+    with _STREAMS_LOCK:
+        entry = _STREAMS.pop(key, None)
+        if entry is None:
+            seeds = _np.fromiter(
+                (derive_seed(seed, t) for t in range(trials)),
+                dtype=_np.uint64,
+                count=trials,
+            )
+            block = None
+        else:
+            seeds, block = entry
+        if block is None or block.shape[1] < draws:
+            block = mt_streams(seeds, draws)
+            block.flags.writeable = False
+        _STREAMS[key] = (seeds, block)
+        kept = sum(old.nbytes for _, old in _STREAMS.values())
+        while len(_STREAMS) > _STREAM_KEYS or kept > _STREAM_BYTES:
+            _, (_, old) = _STREAMS.popitem(last=False)
+            kept -= old.nbytes
+    return block
+
+
 # -- the lockstep engine -------------------------------------------------
 
 
@@ -265,7 +324,8 @@ class BatchSimulator:
         # draws per trial: one per telescopic start, including the
         # wrap-around second-iteration starts observed before the last
         # first-iteration completion; k + 2U + 2 covers every benchmark
-        # with margin, and an overflow doubles the block and retries
+        # with margin, and an overflow doubles the shared block's width
+        # and retries
         self.initial_draws = min(self.k + 2 * self.U + 2, _MAX_DRAWS)
 
     # -- transition memo -------------------------------------------------
@@ -339,27 +399,22 @@ class BatchSimulator:
         seed=derive_seed(seed, trial=t)).cycles`` exactly, for any
         completion spec (Bernoulli, per-unit, Markov).
         """
-        from ..perf.engine import derive_seed
-
         spec = as_completion_spec(p)
         if trials <= 0:
-            raise SimulationError("batch Monte-Carlo needs >= 1 trial")
-        seeds = _np.fromiter(
-            (derive_seed(seed, t) for t in range(trials)),
-            dtype=_np.uint64,
-            count=trials,
-        )
+            raise SimulationError(
+                f"batch Monte-Carlo needs >= 1 trial, got {trials}"
+            )
         draws = self.initial_draws
         while True:
-            u = mt_streams(seeds, draws)
+            u = trial_streams(seed, trials, draws)
             try:
                 return self._run(u, spec)
             except _DrawOverflow:
-                if draws >= _MAX_DRAWS:
+                if u.shape[1] >= _MAX_DRAWS:
                     raise BatchUnsupported(
                         "trial exceeded the per-trial draw budget"
                     ) from None
-                draws = min(2 * draws, _MAX_DRAWS)
+                draws = min(2 * u.shape[1], _MAX_DRAWS)
 
     def statistics(
         self, p: "float | str | CompletionSpec", trials: int, seed: int = 0
@@ -551,4 +606,5 @@ __all__: Sequence[str] = (
     "mt_streams",
     "numpy_available",
     "shared_engine",
+    "trial_streams",
 )

@@ -44,7 +44,6 @@ from ..fsm.model import FSM
 from ..fsm.signals import (
     is_op_completion,
     is_unit_completion,
-    op_completion,
     op_of_completion,
     unit_of_completion,
 )
@@ -113,25 +112,30 @@ class ControllerSystem:
         self._keys = tuple(controllers)
         self._fsms = dict(controllers)
         self._consumes = dict(consumes)
-        self._cc_inputs: dict[str, tuple[str, ...]] = {}
-        self._ct_inputs: dict[str, tuple[str, ...]] = {}
-        for key, fsm in self._fsms.items():
-            self._cc_inputs[key] = tuple(
-                op_of_completion(s) for s in fsm.inputs if is_op_completion(s)
-            )
-            self._ct_inputs[key] = tuple(
-                s for s in fsm.inputs if is_unit_completion(s)
-            )
         # Dependence edges per controller: producer -> waiting consumer ops.
-        self._edges: dict[str, dict[str, tuple[str, ...]]] = {
+        edges: dict[str, dict[str, tuple[str, ...]]] = {
             key: {} for key in self._keys
         }
         for (key, consumer), producers in self._consumes.items():
             if key not in self._fsms:
                 raise SimulationError(f"consumes references unknown {key!r}")
             for producer in producers:
-                waiting = self._edges[key].setdefault(producer, ())
-                self._edges[key][producer] = waiting + (consumer,)
+                waiting = edges[key].setdefault(producer, ())
+                edges[key][producer] = waiting + (consumer,)
+        self._dependence_edges = tuple(
+            (key, consumer, producer)
+            for key in self._keys
+            for producer, consumers in sorted(edges[key].items())
+            for consumer in consumers
+        )
+        # the latch edges a start consumes, per controller and started op
+        self._consumed_edges: dict[str, dict[str, tuple]] = {
+            key: {} for key in self._keys
+        }
+        for edge in self._dependence_edges:
+            key, consumer, _ = edge
+            per_op = self._consumed_edges[key]
+            per_op[consumer] = per_op.get(consumer, ()) + (edge,)
         # Per-state query op: which consumer's tokens a state's CC guards
         # examine.  Must be unique per state (Algorithm 1 guarantees it).
         self._state_query: dict[str, dict[str, "str | None"]] = {}
@@ -154,6 +158,41 @@ class ControllerSystem:
                     )
                 per_state[state] = next(iter(queries), None)
             self._state_query[key] = per_state
+        # The signal names and edges ``step`` reads, built once here:
+        # per controller its (C_<unit> input, unit) pairs and, per query
+        # op, one (CC_<producer> input, producer, latch edge) probe per
+        # producer, the edge None when no op is queried.  Plain values,
+        # so a pickled copy (a pool worker's) steps like the original.
+        self._ct_pairs: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._cc_probes: dict[str, dict["str | None", tuple]] = {}
+        for key, fsm in self._fsms.items():
+            self._ct_pairs[key] = tuple(
+                (s, unit_of_completion(s))
+                for s in fsm.inputs
+                if is_unit_completion(s)
+            )
+            cc_inputs = tuple(
+                (s, op_of_completion(s))
+                for s in fsm.inputs
+                if is_op_completion(s)
+            )
+            queried = {
+                q for q in self._state_query[key].values() if q is not None
+            }
+            self._cc_probes[key] = {
+                query: tuple(
+                    (s, p, None if query is None else (key, query, p))
+                    for s, p in cc_inputs
+                )
+                for query in (None, *sorted(queried))
+            }
+        # the op every declared CC output pulses
+        self._emitted_op = {
+            s: op_of_completion(s)
+            for fsm in self._fsms.values()
+            for s in fsm.outputs
+            if is_op_completion(s)
+        }
         ops: set[str] = set()
         initial_starts: set[str] = set()
         for fsm in self._fsms.values():
@@ -198,7 +237,7 @@ class ControllerSystem:
         """All distinct ``C_<unit>`` signals any controller references."""
         seen: dict[str, None] = {}
         for key in self._keys:
-            for signal in self._ct_inputs[key]:
+            for signal, _ in self._ct_pairs[key]:
                 seen.setdefault(signal, None)
         return tuple(seen)
 
@@ -210,12 +249,7 @@ class ControllerSystem:
         for centralized (single-FSM) systems, which have no inter-controller
         nets.
         """
-        edges: list[tuple[str, str, str]] = []
-        for key in self._keys:
-            for producer, consumers in sorted(self._edges[key].items()):
-                for consumer in consumers:
-                    edges.append((key, consumer, producer))
-        return tuple(edges)
+        return self._dependence_edges
 
     def all_ops(self) -> frozenset[str]:
         """Every operation some controller starts or completes."""
@@ -259,16 +293,19 @@ class ControllerSystem:
         flags = config.flags
         # Pass 1: outputs (hence CC pulses) with flag-only CC inputs.
         emitters: dict[str, tuple[str, ...]] = {}
-        pass1_transitions: dict = {}
+        queries: list["str | None"] = []
+        pass1_transitions: list = []
         for key, state in zip(self._keys, config.states):
+            query = self._state_query[key].get(state)
             inputs = self._inputs_for(
-                key, state, flags, frozenset(), unit_completions
+                key, query, flags, frozenset(), unit_completions
             )
             transition = self._fsms[key].step(state, inputs)
-            pass1_transitions[key] = transition
+            queries.append(query)
+            pass1_transitions.append(transition)
             for signal in transition.outputs:
-                if is_op_completion(signal):
-                    op = op_of_completion(signal)
+                op = self._emitted_op.get(signal)
+                if op is not None:
                     emitters[op] = emitters.get(op, ()) + (key,)
         pulses = set(emitters)
         pulses -= suppress_pulses
@@ -284,47 +321,46 @@ class ControllerSystem:
         completes: set[str] = set()
         consumed: set[tuple[str, str, str]] = set()
         pulse_set = frozenset(pulses)
-        for key, state in zip(self._keys, config.states):
-            if self._state_query[key].get(state) is None:
-                transition = pass1_transitions[key]
+        for key, state, query, first in zip(
+            self._keys, config.states, queries, pass1_transitions
+        ):
+            if query is None:
+                transition = first
             else:
                 inputs = self._inputs_for(
-                    key, state, flags, pulse_set, unit_completions
+                    key, query, flags, pulse_set, unit_completions
                 )
                 transition = self._fsms[key].step(state, inputs)
-            if transition.outputs != pass1_transitions[key].outputs:
-                raise SimulationError(
-                    f"controller {key!r}: outputs depend on completion "
-                    f"inputs (state {state!r}); the one-pass pulse "
-                    f"resolution is unsound for this FSM"
-                )
+                if transition.outputs != first.outputs:
+                    raise SimulationError(
+                        f"controller {key!r}: outputs depend on completion "
+                        f"inputs (state {state!r}); the one-pass pulse "
+                        f"resolution is unsound for this FSM"
+                    )
             next_states.append(transition.target)
             outputs |= transition.outputs
             starts |= transition.starts
             completes |= transition.completes
+            consumes = self._consumed_edges[key]
             for op in transition.starts:
-                for producer in self._consumes.get((key, op), ()):
-                    consumed.add((key, op, producer))
+                consumed.update(consumes.get(op, ()))
         # Latch update per dependence edge: a consumption eats exactly one
         # token; a pulse that coincides with a consumption of the
         # previously latched token therefore survives, and a pulse hitting
         # an unconsumed latched token is a (reported) overrun.
         new_flags: set[tuple[str, str, str]] = set()
         overruns: set[tuple[str, str, str]] = set()
-        for key in self._keys:
-            for producer, consumers in self._edges[key].items():
-                pulsed = producer in pulse_set
-                for consumer in consumers:
-                    edge = (key, consumer, producer)
-                    had = edge in flags
-                    if edge in consumed:
-                        remains = had and pulsed
-                    else:
-                        remains = had or pulsed
-                        if had and pulsed:
-                            overruns.add(edge)
-                    if remains:
-                        new_flags.add(edge)
+        for edge in self._dependence_edges:
+            pulsed = edge[2] in pulse_set
+            had = edge in flags
+            if edge in consumed:
+                remains = had and pulsed
+            else:
+                remains = had or pulsed
+                if had and pulsed:
+                    overruns.add(edge)
+            if remains:
+                new_flags.add(edge)
         return SystemStep(
             config=SystemConfig(
                 states=tuple(next_states), flags=frozenset(new_flags)
@@ -382,25 +418,17 @@ class ControllerSystem:
     def _inputs_for(
         self,
         key: str,
-        state: str,
+        query: "str | None",
         flags: frozenset[tuple[str, str, str]],
         pulses: frozenset[str],
         unit_completions: Mapping[str, bool],
     ) -> dict[str, bool]:
-        inputs: dict[str, bool] = {}
-        for signal in self._ct_inputs[key]:
-            inputs[signal] = bool(
-                unit_completions.get(unit_of_completion(signal), False)
-            )
-        query = self._state_query[key].get(state)
-        for producer in self._cc_inputs[key]:
-            latched = (
-                query is not None
-                and (key, query, producer) in flags
-            )
-            inputs[op_completion(producer)] = (
-                latched or producer in pulses
-            )
+        inputs = {
+            signal: bool(unit_completions.get(unit, False))
+            for signal, unit in self._ct_pairs[key]
+        }
+        for signal, producer, edge in self._cc_probes[key][query]:
+            inputs[signal] = edge in flags or producer in pulses
         return inputs
 
 

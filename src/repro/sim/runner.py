@@ -158,6 +158,10 @@ def monte_carlo_latency(
         raise SimulationError(
             f"engine must be 'auto', 'scalar' or 'batch', got {engine!r}"
         )
+    if trials < 1:
+        raise SimulationError(
+            f"Monte-Carlo latency needs >= 1 trial, got {trials}"
+        )
     if engine != "scalar":
         from .batch import BatchUnsupported, batch_supported
 
@@ -173,7 +177,7 @@ def monte_carlo_latency(
                 "checkpoint/fabric supervision; use engine='auto' or "
                 "'scalar'"
             )
-        if not supervised and trials > 0 and batch_supported(system, bound):
+        if not supervised and batch_supported(system, bound):
             from ..runtime.policy import record_event
             from .batch import batch_monte_carlo_latency
 

@@ -1,6 +1,8 @@
 """The bench regression gate: timing diffs and value-drift detection."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +30,9 @@ def _report(synthesize_s, mc_mean=10.0, exact_value=8.5, **meta):
                     "serial_s": 0.5,
                     "mean_cycles": mc_mean,
                 },
-                "exact_expectation": {
+                "exact_engine": {
                     "seconds": 0.002,
-                    "value": exact_value,
+                    "mean_cycles": exact_value,
                 },
             }
         },
@@ -79,7 +81,7 @@ class TestCompareBench:
             threshold=100.0,
         )
         assert not comparison.ok
-        assert any("exact_expectation" in d for d in comparison.value_drifts)
+        assert any("exact_engine" in d for d in comparison.value_drifts)
 
     def test_mc_mean_drift_detected_only_at_same_seed(self):
         drifted = compare_bench(
@@ -110,12 +112,46 @@ class TestCompareBench:
     def test_missing_sections_skipped(self):
         """Reports from different schema versions diff on common ground."""
         old = _report(0.1)
-        del old["benchmarks"]["fig3"]["exact_expectation"]
+        del old["benchmarks"]["fig3"]["exact_engine"]
         comparison = compare_bench(old, _report(0.1))
         metrics = {r.metric for r in comparison.rows}
-        assert "exact_expectation" not in metrics
+        assert "exact_engine" not in metrics
         assert "synthesize" in metrics
         assert comparison.ok
+
+
+class TestCommittedBaseline:
+    """``--compare BENCH_core.json`` without the ``exact_expectation``."""
+
+    @pytest.fixture()
+    def baseline(self):
+        path = Path(__file__).resolve().parents[1] / "BENCH_core.json"
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def _without_exact_expectation(report):
+        new = copy.deepcopy(report)
+        for row in new["benchmarks"].values():
+            row.pop("exact_expectation", None)
+        return new
+
+    def test_engine_mean_equals_dropped_expectation(self, baseline):
+        for row in baseline["benchmarks"].values():
+            assert (
+                row["exact_engine"]["mean_cycles"]
+                == row["exact_expectation"]["value"]
+            )
+
+    def test_exact_values_still_gated(self, baseline):
+        new = self._without_exact_expectation(baseline)
+        comparison = compare_bench(baseline, new)
+        assert comparison.ok
+        assert "exact_expectation" not in {r.metric for r in comparison.rows}
+        new["benchmarks"]["fig3"]["exact_engine"]["mean_cycles"] += 0.5
+        drifts = compare_bench(baseline, new).value_drifts
+        assert [d.split()[0] for d in drifts] == [
+            "fig3.exact_engine.mean_cycles"
+        ]
 
 
 class TestCompareFiles:

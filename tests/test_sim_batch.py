@@ -7,17 +7,21 @@ agreement.  Every test here therefore compares ``==``, never approx.
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 
+import repro.sim.batch as batch
 from repro.errors import SimulationError
 from repro.perf.engine import derive_seed
 from repro.sim.batch import (
     BatchSimulator,
     batch_monte_carlo_latency,
     batch_supported,
+    mt_streams,
     numpy_available,
     shared_engine,
+    trial_streams,
 )
 from repro.sim.runner import monte_carlo_latency
 
@@ -141,6 +145,85 @@ class TestEngineReuse:
         del system
         gc.collect()
         assert engine() is None
+
+
+@pytest.fixture()
+def streams(monkeypatch):
+    """An empty stream table for the test, so no earlier block is reused."""
+    table = OrderedDict()
+    monkeypatch.setattr(batch, "_STREAMS", table)
+    return table
+
+
+class TestTrialStreams:
+    def test_blocks_are_read_only(self, streams):
+        block = trial_streams(4, 30, 6)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.5
+
+    def test_wider_block_keeps_the_leading_columns(self, streams):
+        seeds = [derive_seed(4, t) for t in range(30)]
+        narrow = trial_streams(4, 30, 6)
+        wide = trial_streams(4, 30, 40)
+        assert wide.shape == (30, 40)
+        assert streams[(4, 30)][1] is wide
+        assert wide[:, :6].tolist() == narrow.tolist()
+        assert wide[:, :6].tolist() == mt_streams(seeds, 6).tolist()
+        assert wide.tolist() == mt_streams(seeds, 40).tolist()
+        # a narrower request is served by the wider block
+        assert trial_streams(4, 30, 10) is wide
+
+    def test_designs_share_one_block(
+        self, streams, monkeypatch, fig3_result, diffeq_result
+    ):
+        used = []
+        run = BatchSimulator._run
+
+        def spy(engine, u, spec):
+            used.append(u)
+            return run(engine, u, spec)
+
+        engines = [
+            BatchSimulator(result.distributed_system(), result.bound)
+            for result in (fig3_result, diffeq_result)
+        ]
+        for engine in engines:  # the wider design widens the block
+            engine.latencies("markov:0.7,0.5", 50, 8)
+        monkeypatch.setattr(BatchSimulator, "_run", spy)
+        for engine in engines:
+            engine.latencies("markov:0.7,0.5", 50, 8)
+        assert len(used) == 2 and used[0] is used[1]
+        assert used[0] is streams[(8, 50)][1]
+
+    def test_table_stays_within_its_bound(self, streams, monkeypatch):
+        keys = [(seed, 20) for seed in range(batch._STREAM_KEYS + 2)]
+        for seed, trials in keys:
+            trial_streams(seed, trials, 8)
+        assert list(streams) == keys[-batch._STREAM_KEYS :]
+        # a byte budget smaller than two blocks keeps only the newest
+        one_block = streams[keys[-1]][1].nbytes
+        monkeypatch.setattr(batch, "_STREAM_BYTES", 2 * one_block - 1)
+        trial_streams(99, 20, 8)
+        assert list(streams) == [(99, 20)]
+        # a block over the budget is returned but not kept
+        block = trial_streams(100, 20, 16)
+        assert block.shape == (20, 16)
+        assert not streams
+
+    def test_draw_overflow_widens_the_block(self, streams, fig3_result):
+        """A one-draw start overflows, widens and still matches scalar."""
+        system = fig3_result.distributed_system()
+        engine = BatchSimulator(system, fig3_result.bound)
+        engine.initial_draws = 1
+        spec = "markov:0.7,0.5"
+        batched = engine.statistics(spec, 60, 5)
+        assert streams[(5, 60)][1].shape[1] > 1
+        scalar = monte_carlo_latency(
+            system, fig3_result.bound, spec, trials=60, seed=5,
+            engine="scalar",
+        )
+        assert batched == scalar
 
 
 class TestGating:

@@ -215,11 +215,13 @@ def check_table_against_fresh_step(result, style, seed, walks=6, cycles=40):
     Every walk restarts at the initial configuration, so later walks
     replay keys earlier walks stored.  Every seventh cycle also runs a
     pulse glitch, which must leave the table as it was, and then re-reads
-    the same key fault-free.
+    the same key fault-free.  An unpickled copy, as a pool worker gets
+    it, must step and serve the table exactly like the original.
     """
     system = result.system(style)
     fresh = result.system(style)
     cold = pickle.dumps(system)
+    copy = pickle.loads(cold)
     rng = random.Random(seed)
     units = sorted(
         unit_of_completion(s) for s in system.unit_completion_inputs()
@@ -232,6 +234,8 @@ def check_table_against_fresh_step(result, style, seed, walks=6, cycles=40):
             values = {unit: rng.random() < 0.5 for unit in units}
             step = system.transition(config, values)
             assert step == fresh.step(config, values)
+            assert step == copy.step(config, values)
+            assert step == copy.transition(config, values)
             if cycle % 7 == 6:
                 _glitch_leaves_table_alone(system, config, values, rng)
                 again = system.transition(config, values)

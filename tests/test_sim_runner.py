@@ -53,6 +53,18 @@ class TestMonteCarloLatency:
         assert stats.minimum == stats.maximum
         assert stats.std == 0.0
 
+    @pytest.mark.parametrize("engine", ["auto", "scalar", "batch"])
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_rejected_by_every_engine(
+        self, fig3_result, engine, trials
+    ):
+        with pytest.raises(
+            SimulationError, match=f"needs >= 1 trial, got {trials}$"
+        ):
+            fig3_result.monte_carlo_latency(
+                0.7, trials=trials, engine=engine
+            )
+
 
 class TestSimulateAssignment:
     def test_empty_override_means_all_fast(self, fig3_result):
