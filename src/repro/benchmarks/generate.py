@@ -26,8 +26,8 @@ order, e.g. ``gen:ops=12,depth=4,fanout=2,mix=2-2-1,pressure=3,seed=0``;
 :func:`family_entry` materializes the corresponding
 :class:`~repro.benchmarks.registry.BenchmarkEntry`, which
 ``registry.benchmark()`` does automatically for any ``gen:`` name — so
-simulation, bench, fault campaigns, the verify/lint gate and the fabric
-consume generated families with zero special-casing.  Everything derives
+simulation, bench, fault campaigns and the verify/lint gate consume
+generated families with zero special-casing.  Everything derives
 from ``random.Random("dfg:" + canonical_name)``: the same name yields a
 byte-identical graph in any process, forever.
 """

@@ -7,8 +7,8 @@ Besides the ten fixed benchmarks, :func:`benchmark` materializes *seeded
 generated families* on demand: any ``gen:...`` name (see
 :mod:`repro.benchmarks.generate`) is parsed, canonicalized, built and
 registered transparently, so every consumer of the registry — bench,
-fault campaigns, the lint gate, the fabric CLIs — takes generated
-designs with zero special-casing.
+fault campaigns, the lint gate — takes generated designs with zero
+special-casing.
 """
 
 from __future__ import annotations

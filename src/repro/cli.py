@@ -10,10 +10,7 @@ Gives the library's main flows a shell-level surface::
     python -m repro simulate "gen:ops=20,depth=5,seed=2" --completion markov:0.7,0.5
     python -m repro faults diffeq --trials 100 --seed 0 -j 4
     python -m repro faults diffeq --checkpoint-dir ckpt --retries 3
-    python -m repro faults diffeq --checkpoint-dir ckpt --fabric --nodes 2
     python -m repro resume ckpt
-    python -m repro fabric status ckpt
-    python -m repro fabric drill --nodes 2 --report drill.json
     python -m repro table1
     python -m repro table2
     python -m repro distribution fir5 --p 0.7
@@ -94,31 +91,6 @@ def _policy_from_args(args) -> "object | None":
         timeout_s=timeout,
         max_retries=retries if retries is not None else 2,
         on_failure=on_failure if on_failure is not None else "retry",
-    )
-
-
-def _fabric_from_args(args) -> "object | None":
-    """Build a :class:`~repro.fabric.FabricConfig` from CLI flags.
-
-    Returns ``None`` unless ``--fabric`` was given.  The fabric's
-    replicated journal is its write-ahead commit log, so ``--fabric``
-    without ``--checkpoint-dir`` is an error.
-    """
-    if not getattr(args, "fabric", False):
-        return None
-    if not getattr(args, "checkpoint_dir", None):
-        from .errors import FabricError
-
-        raise FabricError(
-            "--fabric requires --checkpoint-dir: the replicated "
-            "journal is the fabric's write-ahead commit log"
-        )
-    from .fabric import FabricConfig
-
-    return FabricConfig(
-        nodes=args.nodes,
-        port=args.fabric_port,
-        lease_timeout_s=args.lease_timeout,
     )
 
 
@@ -280,7 +252,6 @@ def _cmd_faults(args) -> int:
         workers=args.workers,
         policy=_policy_from_args(args),
         checkpoint=args.checkpoint_dir,
-        fabric=_fabric_from_args(args),
     )
     print(report.render())
     if args.json:
@@ -308,7 +279,6 @@ def _cmd_table2(args) -> int:
     result = run_table2(
         workers=args.workers,
         checkpoint=args.checkpoint_dir,
-        fabric=_fabric_from_args(args),
     )
     print(result.render())
     result.check_shape()
@@ -330,7 +300,7 @@ def _cmd_report(args) -> int:
 
 #: keyword arguments the parallel experiment drivers accept beyond
 #: their defaults (see ``_cmd_experiments``)
-_PARALLEL_KWARGS = frozenset({"workers", "policy", "checkpoint", "fabric"})
+_PARALLEL_KWARGS = frozenset({"workers", "policy", "checkpoint"})
 
 #: experiment drivers runnable via ``repro experiments``, mapping name
 #: to (module, function, extra kwargs the driver accepts)
@@ -389,7 +359,6 @@ def _cmd_experiments(args) -> int:
         "workers": args.workers,
         "policy": _policy_from_args(args),
         "checkpoint": args.checkpoint_dir,
-        "fabric": _fabric_from_args(args),
     }
     previous = (
         set_default_synthesis_cache(cache) if cache is not None else None
@@ -436,7 +405,6 @@ def _cmd_bench(args) -> int:
         p=_completion_from_args(args),
         cache_dir=args.cache_dir,
         checkpoint_dir=args.checkpoint_dir,
-        fabric=_fabric_from_args(args),
     )
     print(report.render())
     if args.output:
@@ -732,142 +700,17 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_fabric_worker(args) -> int:
-    from .fabric.worker import connect_and_serve
-
-    if args.join:
-        import json
-        import os
-
-        from .fabric import STATUS_FILE
-
-        status_path = os.path.join(args.join, STATUS_FILE)
-        try:
-            with open(status_path) as handle:
-                status = json.load(handle)
-            host = status["address"]["host"]
-            port = int(status["address"]["port"])
-            token = status["token"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(
-                f"error: no joinable fabric coordinator recorded in "
-                f"{status_path!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        if not args.connect or args.token is None:
-            print(
-                "error: fabric worker needs --join DIR or both "
-                "--connect HOST:PORT and --token TOKEN",
-                file=sys.stderr,
-            )
-            return 2
-        host, _, port_text = args.connect.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            print(
-                f"error: --connect expects HOST:PORT, got "
-                f"{args.connect!r}",
-                file=sys.stderr,
-            )
-            return 2
-        token = args.token
-    try:
-        return connect_and_serve(
-            host or "127.0.0.1", port, token=token, node_id=args.node
-        )
-    except OSError as exc:
-        print(
-            f"error: fabric worker {args.node}: {exc}", file=sys.stderr
-        )
-        return 1
-
-
-def _journal_dir_stats(path) -> "tuple[int, int] | None":
-    """(committed shards, quarantined files) in a journal directory."""
-    import os
-
-    from .runtime.journal import SHARD_SUFFIX
-
-    try:
-        names = os.listdir(path)
-    except OSError:
-        return None
-    return (
-        sum(1 for name in names if name.endswith(SHARD_SUFFIX)),
-        sum(1 for name in names if name.endswith(".corrupt")),
-    )
-
-
-def _cmd_fabric_status(args) -> int:
-    import json
-    import os
-
-    from .fabric import STATUS_FILE, default_backup_path
-
-    status_path = os.path.join(args.checkpoint, STATUS_FILE)
-    try:
-        with open(status_path) as handle:
-            status = json.load(handle)
-    except OSError:
-        status = None
-    if status is None:
-        print("coordinator: none active")
-    else:
-        address = status.get("address", {})
-        print(
-            f"coordinator: {address.get('host')}:{address.get('port')}"
-            f" (pid {status.get('pid')}, {status.get('nodes')} "
-            f"node(s), {status.get('shards_missing')}/"
-            f"{status.get('shards_total')} shard(s) outstanding)"
-        )
-        print(f"  join with: repro fabric worker --join {args.checkpoint}")
-    for label, path in (
-        ("primary", args.checkpoint),
-        ("backup", default_backup_path(args.checkpoint)),
-    ):
-        stats = _journal_dir_stats(path)
-        if stats is None:
-            print(f"{label}: {path} (missing)")
-        else:
-            committed, corrupt = stats
-            line = f"{label}: {path} — {committed} shard(s)"
-            if corrupt:
-                line += f", {corrupt} quarantined"
-            print(line)
-    return 0
-
-
-def _cmd_fabric_drill(args) -> int:
-    from .fabric.drill import run_drill
-
-    outcome = run_drill(
-        rows=args.rows,
-        nodes=args.nodes,
-        report_path=args.report,
-        keep_dir=args.keep_dir,
-    )
-    print(outcome.render())
-    return 0 if outcome.passed else 1
-
-
 def _warn_quarantined_shards(checkpoint_dir: str) -> None:
     """Summarize quarantined shard files before a resume replays."""
-    import os
+    from .runtime.journal import CheckpointJournal
 
-    from .fabric.replica import default_backup_path
-
-    for path in (checkpoint_dir, default_backup_path(checkpoint_dir)):
-        stats = _journal_dir_stats(path)
-        if stats and stats[1]:
-            print(
-                f"note: {stats[1]} quarantined shard file(s) in "
-                f"{path}; they will be restored from a replica or "
-                f"recomputed",
-                file=sys.stderr,
-            )
+    corrupt = len(CheckpointJournal(checkpoint_dir).corrupt_files())
+    if corrupt:
+        print(
+            f"note: {corrupt} quarantined shard file(s) in "
+            f"{checkpoint_dir}; they will be recomputed",
+            file=sys.stderr,
+        )
 
 
 def _cmd_resume(args) -> int:
@@ -935,43 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "journal completed trials in DIR; an interrupted run "
                 "continues with 'repro resume DIR', byte-identically"
-            ),
-        )
-
-    def add_fabric_args(p):
-        p.add_argument(
-            "--fabric",
-            action="store_true",
-            help=(
-                "distribute the campaign over coordinator/worker "
-                "nodes with a replicated checkpoint journal "
-                "(requires --checkpoint-dir; output stays "
-                "byte-identical)"
-            ),
-        )
-        p.add_argument(
-            "--nodes",
-            type=int,
-            default=2,
-            metavar="N",
-            help="fabric worker nodes to spawn (default: 2)",
-        )
-        p.add_argument(
-            "--fabric-port",
-            type=int,
-            default=0,
-            metavar="PORT",
-            help="coordinator TCP port (default: 0 = OS-assigned)",
-        )
-        p.add_argument(
-            "--lease-timeout",
-            type=float,
-            default=30.0,
-            metavar="SECONDS",
-            help=(
-                "shard lease deadline; a node that holds a lease "
-                "past it is presumed hung and the shard is "
-                "reassigned (default: 30)"
             ),
         )
 
@@ -1090,7 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_arg(p_flt)
     add_checkpoint_arg(p_flt)
     add_policy_args(p_flt)
-    add_fabric_args(p_flt)
     p_flt.set_defaults(func=_cmd_faults)
 
     p_t1 = sub.add_parser("table1", help="regenerate the paper's Table 1")
@@ -1100,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2 = sub.add_parser("table2", help="regenerate the paper's Table 2")
     add_workers_arg(p_t2)
     add_checkpoint_arg(p_t2)
-    add_fabric_args(p_t2)
     p_t2.set_defaults(func=_cmd_table2)
 
     p_rep = sub.add_parser(
@@ -1137,7 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_arg(p_exp)
     add_checkpoint_arg(p_exp)
     add_policy_args(p_exp)
-    add_fabric_args(p_exp)
     p_exp.add_argument(
         "--cache-dir",
         help=(
@@ -1208,7 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the synthesis-artifact cache",
     )
     add_checkpoint_arg(p_bench)
-    add_fabric_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_res = sub.add_parser(
@@ -1458,98 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_check.set_defaults(func=_cmd_check)
-
-    p_fab = sub.add_parser(
-        "fabric",
-        help=(
-            "distributed campaign fabric: join worker nodes, inspect "
-            "journals, run the failover chaos drill"
-        ),
-    )
-    fab_sub = p_fab.add_subparsers(dest="fabric_command", required=True)
-
-    p_fw = fab_sub.add_parser(
-        "worker",
-        help=(
-            "run one worker node: lease shards from a coordinator "
-            "until drained"
-        ),
-    )
-    p_fw.add_argument(
-        "--join",
-        metavar="DIR",
-        help=(
-            "checkpoint directory of a live fabric run; reads the "
-            "coordinator address and token from its fabric.json"
-        ),
-    )
-    p_fw.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        help="coordinator address (alternative to --join)",
-    )
-    p_fw.add_argument(
-        "--token", help="session token (required with --connect)"
-    )
-    p_fw.add_argument(
-        "--node",
-        type=int,
-        default=0,
-        metavar="ID",
-        help="this node's id (default: 0)",
-    )
-    p_fw.set_defaults(func=_cmd_fabric_worker)
-
-    p_fs = fab_sub.add_parser(
-        "status",
-        help=(
-            "show the coordinator (if active) and the replicated "
-            "journal shard counts for a checkpoint directory"
-        ),
-    )
-    p_fs.add_argument(
-        "checkpoint",
-        metavar="DIR",
-        help="primary checkpoint directory",
-    )
-    p_fs.set_defaults(func=_cmd_fabric_status)
-
-    p_fd = fab_sub.add_parser(
-        "drill",
-        help=(
-            "failover chaos drill: SIGKILL a worker node and restart "
-            "the coordinator mid-campaign, then prove byte-identical "
-            "recovery against a serial baseline"
-        ),
-    )
-    p_fd.add_argument(
-        "--rows",
-        type=int,
-        default=3,
-        metavar="N",
-        help="Table-2 rows to campaign over (default: 3)",
-    )
-    p_fd.add_argument(
-        "--nodes",
-        type=int,
-        default=2,
-        metavar="N",
-        help="fabric worker nodes (default: 2)",
-    )
-    p_fd.add_argument(
-        "--report",
-        metavar="FILE",
-        help="write the drill's RunReport JSON here (CI artifact)",
-    )
-    p_fd.add_argument(
-        "--keep-dir",
-        metavar="DIR",
-        help=(
-            "run in DIR and keep it afterwards (default: a "
-            "temporary directory, removed)"
-        ),
-    )
-    p_fd.set_defaults(func=_cmd_fabric_drill)
 
     return parser
 

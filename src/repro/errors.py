@@ -275,30 +275,6 @@ class CheckpointInterrupted(CheckpointError):
         self.shards_written = shards_written
 
 
-class FabricError(ReproError):
-    """The distributed campaign fabric could not complete a run.
-
-    Raised by the coordinator/worker runtime in
-    :mod:`repro.fabric` for unrecoverable conditions: no checkpoint
-    journal to replicate into, a worker fleet that cannot be
-    sustained, or a coordinator that lost its listening socket.
-    Transient conditions (worker death, lease expiry, torn shards)
-    are *recovered*, not raised — they appear as
-    :class:`~repro.runtime.policy.RecoveryEvent` records instead.
-    """
-
-
-class FabricProtocolError(FabricError):
-    """A fabric peer sent a malformed, stale or unauthorized message.
-
-    Covers bad magic/framing, protocol-version mismatches, payload
-    checksum failures and wrong session tokens.  The fabric link is a
-    trusted transport (pickled payloads!); this error is an integrity
-    backstop, not an authentication boundary — never expose the
-    coordinator socket to untrusted networks.
-    """
-
-
 class PipelineError(ReproError):
     """A synthesis pipeline is misconfigured or was driven incorrectly."""
 

@@ -404,7 +404,6 @@ def run_multilevel(
     policy=None,
     report=None,
     checkpoint=None,
-    fabric=None,
 ) -> MultiLevelResult:
     """Synthesize a benchmark on 3-level VCAUs and compare schemes.
 
@@ -473,7 +472,6 @@ def run_multilevel(
             workers=workers,
             policy=policy,
             report=report,
-            fabric=fabric,
         )
     )
     max_extension = max(
@@ -548,7 +546,6 @@ def run_physical(
     policy=None,
     report=None,
     checkpoint=None,
-    fabric=None,
 ) -> PhysicalRunResult:
     """Drive a design with real operands through a synthesized CSG.
 
@@ -610,7 +607,6 @@ def run_physical(
         workers=workers,
         policy=policy,
         report=report,
-        fabric=fabric,
     )
     total_cycles = sum(cycles for cycles, _, _ in outcomes)
     fast_hits = sum(hits for _, hits, _ in outcomes)

@@ -228,15 +228,13 @@ def run_fig4(
     policy=None,
     report=None,
     checkpoint=None,
-    fabric=None,
 ) -> Fig4Result:
     """Measure state growth on the pathological one-step DFGs.
 
     The product construction for the largest ``n`` dominates; ``workers``
     builds the independent points concurrently.  ``checkpoint`` journals
     each finished point for byte-identical resume; ``policy``/``report``
-    supervise the pool (see :mod:`repro.runtime`); ``fabric`` leases
-    the points to distributed worker nodes (requires ``checkpoint``).
+    supervise the pool (see :mod:`repro.runtime`).
     """
     from ..runtime.journal import checkpointed_map
 
@@ -253,7 +251,6 @@ def run_fig4(
         workers=workers,
         policy=policy,
         report=report,
-        fabric=fabric,
     )
     return Fig4Result(
         tau_counts=tuple(tau_counts),

@@ -103,7 +103,6 @@ def run_table2(
     policy=None,
     report=None,
     checkpoint=None,
-    fabric=None,
 ) -> Table2Result:
     """Regenerate Table 2 over the registered Table-2 benchmarks.
 
@@ -112,9 +111,6 @@ def run_table2(
     single digit of the output.  ``checkpoint`` journals each finished
     row so an interrupted run resumes byte-identically; ``policy`` and
     ``report`` supervise the pool (see :mod:`repro.runtime`).
-    ``fabric`` (a :class:`~repro.fabric.FabricConfig`, requires
-    ``checkpoint``) leases rows to distributed worker nodes instead —
-    still byte-identical.
     """
     from functools import partial
 
@@ -135,6 +131,5 @@ def run_table2(
         workers=workers,
         policy=policy,
         report=report,
-        fabric=fabric,
     )
     return Table2Result(ps=tuple(ps), comparisons=tuple(rows))

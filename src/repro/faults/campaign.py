@@ -495,7 +495,6 @@ def run_campaign(
     policy=None,
     report=None,
     checkpoint=None,
-    fabric=None,
 ) -> FaultCampaignReport:
     """Sweep ``trials`` seeded faults per style over one synthesis result.
 
@@ -518,11 +517,7 @@ def run_campaign(
     :class:`~repro.runtime.journal.CheckpointJournal`) persists each
     completed trial; an interrupted campaign resumed over the same
     journal replays the finished trials and produces JSON
-    byte-identical to an uninterrupted run.  ``fabric`` (a
-    :class:`~repro.fabric.FabricConfig`, requires ``checkpoint``)
-    leases the trials to distributed worker nodes instead of a local
-    pool — the report stays byte-identical, and node deaths mid-run
-    are survived by lease revocation and reassignment.
+    byte-identical to an uninterrupted run.
     """
     from ..perf.cache import design_fingerprint
     from ..runtime.journal import checkpointed_map
@@ -563,7 +558,6 @@ def run_campaign(
         workers=workers,
         policy=policy,
         report=report,
-        fabric=fabric,
     )
     return FaultCampaignReport(
         benchmark=name,

@@ -113,11 +113,11 @@ def _bench_row(
     cache_dir: "str | None",
     name: str,
 ) -> dict:
-    """Time the core flows on one benchmark (pool- and fabric-safe).
+    """Time the core flows on one benchmark (pool-safe).
 
     Module-level and fully determined by its arguments, so bench rows
     can be journaled by :func:`~repro.runtime.journal.checkpointed_map`
-    and leased to fabric worker nodes like any other shard.
+    like any other shard.
     """
     from ..analysis.exact_engine import analyze_dist_latency
     from ..analysis.latency import DistLatencyEvaluator
@@ -244,7 +244,6 @@ def run_bench(
     checkpoint_dir: "str | None" = None,
     policy=None,
     report=None,
-    fabric=None,
 ) -> BenchReport:
     """Time the core flows on ``benchmarks`` and build the report.
 
@@ -261,10 +260,7 @@ def run_bench(
     ``checkpoint_dir`` journals each finished benchmark row: an
     interrupted sweep resumed over the same directory replays completed
     rows (with their originally measured timings) and re-times only the
-    missing ones.  ``fabric`` (a :class:`~repro.fabric.FabricConfig`,
-    requires ``checkpoint_dir``) leases whole rows to distributed
-    worker nodes; timings are then measured on the node that computed
-    the row, and all *result* values stay deterministic.
+    missing ones.
 
     ``p`` accepts any completion spec (float, spec string such as
     ``per-unit:mul=0.9,*=0.5`` or ``markov:0.7,0.5``, or a
@@ -289,7 +285,7 @@ def run_bench(
         else ""
     )
     # rows run serially here (each row parallelizes its own Monte-Carlo
-    # column with ``workers``); the fabric distributes whole rows
+    # column with ``workers``)
     row_list = checkpointed_map(
         partial(
             _bench_row, quick, trials, workers, seed, spec, repeats,
@@ -301,7 +297,6 @@ def run_bench(
         workers=1,
         policy=policy,
         report=report,
-        fabric=fabric,
     )
     rows = dict(zip(names, row_list))
     data = {

@@ -63,10 +63,9 @@ def derive_seed_text(text: str) -> int:
     """Stable 63-bit value from the SHA-256 of an arbitrary label.
 
     The single source of deterministic pseudo-randomness in the
-    library: per-trial seeds, retry-backoff jitter and the campaign
-    fabric's heartbeat/lease jitter all reduce to this hash, so every
-    derived schedule is independent of ``PYTHONHASHSEED``, process
-    identity, platform and the wall clock.
+    library: per-trial seeds and retry-backoff jitter both reduce to
+    this hash, so every derived schedule is independent of
+    ``PYTHONHASHSEED``, process identity, platform and the wall clock.
     """
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -89,11 +88,10 @@ def deterministic_jitter(tag: str, *parts: object) -> float:
     """Jitter factor in ``[0.5, 1.5)`` from the :func:`derive_seed_text`
     scheme.
 
-    ``tag`` names the consumer (``"backoff"``, ``"fabric-lease"``,
-    ``"fabric-heartbeat"``); ``parts`` identify the instance (item
-    index, attempt number, node id).  Two identical runs derive
-    identical jitters, so recovery schedules, lease deadlines and
-    heartbeat cadences replay deterministically in drills.
+    ``tag`` names the consumer (``"backoff"``); ``parts`` identify the
+    instance (item index, attempt number).  Two identical runs derive
+    identical jitters, so recovery schedules replay deterministically
+    in drills.
     """
     label = ":".join([tag, *[str(part) for part in parts]])
     return 0.5 + derive_seed_text(label) / 2**63

@@ -69,8 +69,7 @@ class CompletionSpec:
     """Base of the declarative completion-model descriptions.
 
     Concrete specs are frozen dataclasses — hashable, picklable (safe
-    to ship to process pools and fabric nodes) and equality-comparable
-    by value.
+    to ship to process pools) and equality-comparable by value.
     """
 
     #: grammar tag (``bernoulli`` / ``per-unit`` / ``markov``)

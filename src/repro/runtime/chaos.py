@@ -1,41 +1,24 @@
-"""Deterministic worker- and node-failure injection for drills.
+"""Deterministic worker-failure injection for drills.
 
 The fault injectors in :mod:`repro.faults` attack the *simulated
-hardware*; this module attacks the *host runtime* — worker processes of
-a supervised pool and worker nodes of the distributed campaign fabric.
-A :class:`ChaosConfig` names global work-item indices at which a worker
-should crash (``os._exit``), raise, or hang, so tests and the CI
-chaos-smoke job can prove that a campaign survives real process death
-with byte-identical output.
+hardware*; this module attacks the *host runtime* — the worker
+processes of a supervised pool.  A :class:`ChaosConfig` names global
+work-item indices at which a worker should crash (``os._exit``),
+raise, or hang, so tests and the CI chaos-smoke job can prove that a
+campaign survives real process death with byte-identical output.
 
-Item-level injection happens inside the worker (the supervised chunk
-runner and the fabric worker both call :func:`chaos_apply` before each
-item), never in the supervising process: a crash must kill a *worker*,
-not the run.  With ``once=True`` (the default) each chosen index fires
-a single time across the whole run — claimed atomically via an
-``O_EXCL`` marker file in ``sentinel_dir``, which works across
-processes and pool restarts — so the retried attempt succeeds and the
-run completes.
-
-Node-level injection targets the fabric runtime specifically:
-
-* ``node_kill_items`` — the worker node leasing that shard SIGKILLs
-  its own process (a literal ``kill -9`` mid-campaign; the coordinator
-  must detect the loss, revoke the lease and reassign the shard);
-* ``partition_items`` — the node computes the shard, then severs its
-  connection and exits *without reporting the result* (a network
-  partition after the work was done; the shard must be recomputed
-  elsewhere, byte-identically);
-* ``slow_heartbeat_nodes`` — those node ids stretch their heartbeat
-  interval by ``heartbeat_slowdown``, so the coordinator declares them
-  lost and revokes their leases even though they are alive — their
-  late shard commits must be tolerated idempotently.
+Injection happens inside the worker (the supervised chunk runner calls
+:func:`chaos_apply` before each item), never in the supervising
+process: a crash must kill a *worker*, not the run.  With
+``once=True`` (the default) each chosen index fires a single time
+across the whole run — claimed atomically via an ``O_EXCL`` marker
+file in ``sentinel_dir``, which works across processes and pool
+restarts — so the retried attempt succeeds and the run completes.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import time
 from dataclasses import dataclass
 
@@ -55,22 +38,17 @@ class ChaosFailure(Exception):
 class ChaosConfig:
     """Which work items a worker should crash, fail or hang on.
 
-    Indices are *global* item positions in the supervised map's (or
-    fabric run's) work list; ``slow_heartbeat_nodes`` entries are
-    fabric node ids.  ``once=True`` requires ``sentinel_dir`` (a
-    directory shared by all workers) so each injection fires exactly
-    once; without it, the injection repeats on every attempt — useful
-    for proving that retry budgets are enforced.
+    Indices are *global* item positions in the supervised map's work
+    list.  ``once=True`` requires ``sentinel_dir`` (a directory shared
+    by all workers) so each injection fires exactly once; without it,
+    the injection repeats on every attempt — useful for proving that
+    retry budgets are enforced.
     """
 
     crash_items: tuple[int, ...] = ()
     fail_items: tuple[int, ...] = ()
     hang_items: tuple[int, ...] = ()
     hang_s: float = 5.0
-    node_kill_items: tuple[int, ...] = ()
-    partition_items: tuple[int, ...] = ()
-    slow_heartbeat_nodes: tuple[int, ...] = ()
-    heartbeat_slowdown: float = 25.0
     once: bool = True
     sentinel_dir: "str | None" = None
 
@@ -80,20 +58,9 @@ class ChaosConfig:
                 "ChaosConfig(once=True) needs sentinel_dir to track "
                 "which injections already fired"
             )
-        if self.heartbeat_slowdown < 1.0:
-            raise SimulationError(
-                "heartbeat_slowdown must be >= 1, got "
-                f"{self.heartbeat_slowdown}"
-            )
 
     def any_items(self) -> bool:
-        return bool(
-            self.crash_items
-            or self.fail_items
-            or self.hang_items
-            or self.node_kill_items
-            or self.partition_items
-        )
+        return bool(self.crash_items or self.fail_items or self.hang_items)
 
     def _claim(self, kind: str, index: int) -> bool:
         """Atomically claim one injection; False if it already fired."""
@@ -111,41 +78,19 @@ class ChaosConfig:
         os.close(handle)
         return True
 
-    def claim_partition(self, index: int) -> bool:
-        """True when shard ``index`` should trigger a partition now.
-
-        Called by the fabric worker after computing the shard but
-        before reporting the result; a claimed partition severs the
-        connection, leaving the coordinator to revoke the lease and
-        recompute the finished-but-unreported shard elsewhere.
-        """
-        return index in self.partition_items and self._claim(
-            "partition", index
-        )
-
-    def heartbeat_scale(self, node_id: int) -> float:
-        """Heartbeat-interval multiplier for fabric node ``node_id``."""
-        if node_id in self.slow_heartbeat_nodes:
-            return self.heartbeat_slowdown
-        return 1.0
-
 
 def chaos_apply(chaos: "ChaosConfig | None", index: int) -> None:
     """Run the configured injection for global item ``index``, if any.
 
-    Called by the worker-side chunk runner (and the fabric worker)
-    immediately before each item.  Crash kills the worker process with
-    exit code 1; node-kill delivers SIGKILL to the worker's own
-    process (indistinguishable from an operator ``kill -9``); fail
+    Called by the worker-side chunk runner immediately before each
+    item.  Crash kills the worker process with exit code 1; fail
     raises :class:`ChaosFailure`; hang sleeps ``hang_s`` seconds (long
-    enough to trip any reasonable per-item timeout or lease deadline).
+    enough to trip any reasonable per-item timeout).
     """
     if chaos is None:
         return
     if index in chaos.crash_items and chaos._claim("crash", index):
         os._exit(1)
-    if index in chaos.node_kill_items and chaos._claim("kill", index):
-        os.kill(os.getpid(), signal.SIGKILL)
     if index in chaos.fail_items and chaos._claim("fail", index):
         raise ChaosFailure(
             f"injected worker failure on item {index}"

@@ -144,7 +144,7 @@ class CheckpointJournal:
             self.report,
             "journal-quarantine",
             f"shard {key[:12]}… in {self.path} {reason}; it will be "
-            f"restored from a replica or recomputed",
+            f"recomputed",
         )
 
     def get(self, key: str) -> "tuple[bool, object]":
@@ -191,16 +191,6 @@ class CheckpointJournal:
         atomic_write_bytes(self.shard_file(key), digest + b"\n" + payload)
         self.new_shards += 1
 
-    def restore(self, key: str, blob: bytes) -> None:
-        """Repair one shard from its replica twin's verified bytes.
-
-        Bypasses ``max_new_shards`` and the ``new_shards`` counter:
-        a repair replays work that was already paid for, so it must
-        neither consume the deterministic-interruption budget nor look
-        like fresh progress.
-        """
-        atomic_write_bytes(self.shard_file(key), blob)
-
     def corrupt_files(self) -> list[str]:
         """Quarantined (``*.corrupt``) shard files in this journal."""
         try:
@@ -233,7 +223,6 @@ def checkpointed_map(
     chunksize: "int | None" = None,
     policy: "RunPolicy | None" = None,
     report: "RunReport | None" = None,
-    fabric=None,
 ) -> list:
     """:func:`~repro.perf.engine.parallel_map` through a journal.
 
@@ -242,33 +231,15 @@ def checkpointed_map(
     each new result is persisted the moment it completes — out of
     order under parallelism, which is safe because the shard id is the
     item's position.  With ``checkpoint=None`` this is exactly
-    ``parallel_map``.
-
-    ``fabric`` (a :class:`~repro.fabric.FabricConfig`) reroutes the
-    missing-shard computation through the distributed campaign fabric:
-    worker *nodes* lease shards from a coordinator over TCP and every
-    result is committed to a replicated journal before it is
-    acknowledged — same keys, same bytes, so serial, parallel and
-    fabric runs all resume each other's checkpoint directories.
-    Requires ``checkpoint``.
+    ``parallel_map``.  The keys and bytes do not depend on
+    ``workers`` or ``policy``, so serial, parallel and supervised runs
+    resume each other's checkpoint directories.
     """
     from ..perf.engine import parallel_map
 
     journal = resolve_journal(checkpoint)
     if journal is not None and journal.report is None:
         journal.report = report
-    if fabric is not None:
-        from ..fabric.runtime import fabric_map
-
-        return fabric_map(
-            fn,
-            items,
-            run_key=run_key,
-            checkpoint=journal,
-            config=fabric,
-            policy=policy,
-            report=report,
-        )
     work: Sequence[_T] = list(items)
     if journal is None:
         return parallel_map(

@@ -45,10 +45,6 @@ EVENT_KINDS = (
     "batch-engine",  # Monte-Carlo trials ran on the vectorized engine
     "cache-quarantine",  # a corrupt cache entry was moved aside
     "journal-quarantine",  # a corrupt checkpoint shard was moved aside
-    "journal-repair",  # a shard was restored from its replica twin
-    "lease-revoke",  # a fabric shard lease expired and was reassigned
-    "node-loss",  # a fabric worker node died or went silent
-    "node-restart",  # a replacement fabric worker node was spawned
 )
 
 
@@ -117,8 +113,7 @@ class RunPolicy:
         ``[0.5, 1.5)`` from the shared SHA-256
         :func:`~repro.perf.engine.deterministic_jitter` scheme —
         independent of process identity and the wall clock, so two
-        identical runs (and the fabric's lease/heartbeat timers, which
-        use the same scheme) recover along identical schedules.
+        identical runs recover along identical schedules.
         """
         if self.backoff_s == 0:
             return 0.0

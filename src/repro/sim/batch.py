@@ -44,7 +44,11 @@ Bernoulli thresholds the shared draw stream with one constant,
 per-unit mixes with a per-op threshold array, and Markov specs with a
 compacted per-trial per-unit state matrix that replays the scalar
 chain exactly.  The engine refuses — rather than approximates —
-anything it cannot reproduce exactly (>63 ops, missing numpy).
+anything it cannot reproduce exactly (>63 ops, missing numpy), and
+refuses a design whose dense transition index (one int64 slot per
+``(config, completion flags)`` pair, so ``configs << units`` slots)
+would outgrow :data:`_ROWTAB_BYTES`; ``engine="auto"`` then runs the
+scalar path.
 """
 
 from __future__ import annotations
@@ -254,6 +258,12 @@ def trial_streams(seed: int, trials: int, draws: int):
 
 # -- the lockstep engine -------------------------------------------------
 
+#: bound on the transition index's bytes: ``1 << units`` int64 slots per
+#: interned config, so 21 units fill it with 4 configs and 24 units
+#: cannot hold one; the core, CI and perfbench latency designs stay at
+#: 4 MiB or less
+_ROWTAB_BYTES = 64 << 20
+
 
 class _DrawOverflow(Exception):
     """A trial needed more Bernoulli draws than were pre-generated."""
@@ -317,7 +327,7 @@ class BatchSimulator:
         self._keep_rows: list = []
         self._done_rows: list[int] = []
         self._start_rows: list = []
-        self._rowtab = _np.full(1 << self.U, -1, dtype=_np.int64)
+        self._rowtab = self._new_rowtab(1 << self.U)
         self._tables_cache = None
         self.init_config = self._intern(system.initial_config())
         self.init_starts = sorted(system.initial_starts())
@@ -330,19 +340,30 @@ class BatchSimulator:
 
     # -- transition memo -------------------------------------------------
 
+    def _new_rowtab(self, slots: int):
+        """An empty transition index of ``slots`` rows, within the bound."""
+        nbytes = slots * 8
+        if nbytes > _ROWTAB_BYTES:
+            raise BatchUnsupported(
+                f"{self.U} units need a {nbytes:,}-byte transition index, "
+                f"over the batch engine's {_ROWTAB_BYTES:,}-byte bound"
+            )
+        return _np.full(slots, -1, dtype=_np.int64)
+
     def _intern(self, config) -> int:
         row = self._config_ids.get(config)
         if row is None:
-            row = len(self._configs)
-            self._config_ids[config] = row
-            self._configs.append(config)
-            need = len(self._configs) << self.U
+            # grow (or refuse) before the config joins the memo
+            need = (len(self._configs) + 1) << self.U
             if self._rowtab.size < need:
-                grown = _np.full(
-                    max(need, 2 * self._rowtab.size), -1, dtype=_np.int64
+                grown = self._new_rowtab(
+                    max(need, min(2 * self._rowtab.size, _ROWTAB_BYTES // 8))
                 )
                 grown[: self._rowtab.size] = self._rowtab
                 self._rowtab = grown
+            row = len(self._configs)
+            self._config_ids[config] = row
+            self._configs.append(config)
         return row
 
     def _expand(self, key: int) -> None:

@@ -118,7 +118,6 @@ def monte_carlo_latency(
     policy: "RunPolicy | None" = None,
     report: "RunReport | None" = None,
     checkpoint: "CheckpointJournal | str | None" = None,
-    fabric=None,
     engine: str = "auto",
 ) -> LatencyStatistics:
     """Simulate ``trials`` runs under the completion spec ``p``.
@@ -138,18 +137,15 @@ def monte_carlo_latency(
     ``policy``/``report`` supervise the pool (crash recovery, retries,
     timeouts — see :mod:`repro.runtime`); ``checkpoint`` journals each
     completed trial so an interrupted sweep resumes with statistics
-    byte-identical to an uninterrupted run.  ``fabric`` (a
-    :class:`~repro.fabric.FabricConfig`, requires ``checkpoint``)
-    distributes the missing trials over fabric worker nodes instead of
-    a local pool — same shard keys, same bytes.
+    byte-identical to an uninterrupted run.
 
     ``engine`` selects the trial executor: ``"scalar"`` runs one
     event-loop simulation per trial, ``"batch"`` requires the
     numpy-vectorized lockstep engine (:mod:`repro.sim.batch` —
     statistics byte-identical to scalar, orders of magnitude faster),
     and ``"auto"`` (the default) uses the batch engine whenever it
-    applies (numpy present, <= 63 ops, no cache/policy/checkpoint/
-    fabric supervision requested) and the scalar path otherwise.
+    applies (numpy present, <= 63 ops, no cache/policy/checkpoint
+    supervision requested) and the scalar path otherwise.
     """
     from ..perf.engine import derive_seed
 
@@ -169,13 +165,11 @@ def monte_carlo_latency(
             cache is not None
             or policy is not None
             or checkpoint is not None
-            or fabric is not None
         )
         if engine == "batch" and supervised:
             raise SimulationError(
                 "engine='batch' is incompatible with cache/policy/"
-                "checkpoint/fabric supervision; use engine='auto' or "
-                "'scalar'"
+                "checkpoint supervision; use engine='auto' or 'scalar'"
             )
         if not supervised and batch_supported(system, bound):
             from ..runtime.policy import record_event
@@ -232,7 +226,6 @@ def monte_carlo_latency(
         workers=workers,
         policy=policy,
         report=report,
-        fabric=fabric,
     )
     return LatencyStatistics.from_samples(samples)
 

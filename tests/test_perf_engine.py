@@ -243,7 +243,8 @@ class TestSelfHealingCaches:
         # out of get(); now it is quarantined and recomputed
         path = str(tmp_path / "simcache")
         first, key, file_path = self._seed_entry(path, fig2_result)
-        blob = open(file_path).read()
+        with open(file_path) as handle:
+            blob = handle.read()
         with open(file_path, "w") as handle:
             handle.write(blob[: len(blob) // 2])
         fresh = SimulationCache(path)
@@ -263,7 +264,8 @@ class TestSelfHealingCaches:
 
         path = str(tmp_path / "simcache")
         _, key, file_path = self._seed_entry(path, fig2_result)
-        data = json.load(open(file_path))
+        with open(file_path) as handle:
+            data = json.load(handle)
         data["payload"]["cycles"] = data["payload"]["cycles"] + 1
         with open(file_path, "w") as handle:
             json.dump(data, handle)

@@ -121,6 +121,39 @@ class TestCliResume:
         assert "resumable" in capsys.readouterr().err
 
 
+class TestResumeQuarantineNote:
+    def test_resume_warns_about_quarantined_shards(
+        self, tmp_path, capsys
+    ):
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        (ck / "manifest.json").write_text(
+            json.dumps({"argv": ["benchmarks"]})
+        )
+        (ck / "feedface.shard.pkl.corrupt").write_bytes(b"torn")
+        assert cli.main(["resume", str(ck)]) == 0
+        err = capsys.readouterr().err
+        assert "resuming: repro benchmarks" in err
+        notes = [
+            line
+            for line in err.splitlines()
+            if "quarantined shard file(s)" in line
+        ]
+        assert notes == [
+            f"note: 1 quarantined shard file(s) in {ck}; they will be "
+            f"recomputed"
+        ]
+
+    def test_resume_silent_without_quarantine(self, tmp_path, capsys):
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        (ck / "manifest.json").write_text(
+            json.dumps({"argv": ["benchmarks"]})
+        )
+        assert cli.main(["resume", str(ck)]) == 0
+        assert "quarantined" not in capsys.readouterr().err
+
+
 def test_fig2_benchmark_exists():
     """The CLI tests above lean on a registered 'fig2' benchmark."""
     from repro.benchmarks.registry import benchmark

@@ -16,6 +16,7 @@ from repro.errors import SimulationError
 from repro.perf.engine import derive_seed
 from repro.sim.batch import (
     BatchSimulator,
+    BatchUnsupported,
     batch_monte_carlo_latency,
     batch_supported,
     mt_streams,
@@ -34,6 +35,13 @@ STYLES = ("dist", "cent-sync", "cent")
 #: a generated design with more than eight units, so its completion
 #: flags span more than one byte
 MANY_UNITS = "gen:ops=16,depth=3,fanout=1,mix=1-2-2,pressure=2,seed=290"
+
+#: generated designs whose dense transition index outgrows the bound:
+#: 32 units cannot hold one config, 21 units run out while interning
+OVERSIZED = (
+    "gen:ops=63,depth=8,fanout=2,mix=1-1-1,pressure=2,seed=1",
+    "gen:ops=40,depth=6,fanout=2,mix=1-1-1,pressure=2,seed=1",
+)
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +273,41 @@ class TestGating:
             system, fig3_result.bound, 0.7, trials=20, seed=4
         )
         assert checkpointed == batched
+
+
+class TestIndexBound:
+    @pytest.fixture(scope="class", params=OVERSIZED)
+    def oversized(self, request):
+        from repro.benchmarks.registry import benchmark
+        from repro.experiments.common import synthesize_entry
+
+        return synthesize_entry(benchmark(request.param))
+
+    @pytest.mark.parametrize("style", ["dist", "cent-sync"])
+    def test_auto_falls_back_to_scalar(self, oversized, style):
+        auto = oversized.monte_carlo_latency(
+            0.7, trials=200, seed=1, style=style
+        )
+        scalar = oversized.monte_carlo_latency(
+            0.7, trials=200, seed=1, style=style, engine="scalar"
+        )
+        assert auto == scalar
+
+    @pytest.mark.parametrize("style", ["dist", "cent-sync"])
+    def test_batch_refuses(self, oversized, style):
+        with pytest.raises(BatchUnsupported, match=r"\d+ units need a"):
+            oversized.monte_carlo_latency(
+                0.7, trials=200, seed=1, style=style, engine="batch"
+            )
+
+    def test_refused_engine_memo_fits_its_index(self, oversized):
+        try:
+            engine = BatchSimulator(
+                oversized.distributed_system(), oversized.bound
+            )
+        except BatchUnsupported:
+            return  # refused before the initial config was interned
+        with pytest.raises(BatchUnsupported):
+            engine.latencies(0.7, 200, seed=1)
+        assert engine._rowtab.nbytes <= batch._ROWTAB_BYTES
+        assert len(engine._configs) << engine.U <= engine._rowtab.size
