@@ -245,9 +245,13 @@ def _model_payload(model: "CompletionModel") -> dict:
     return payload
 
 
+def _canonical_text(payload: object) -> str:
+    """Sorted-key, space-free JSON: the one text every digest hashes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload: object) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_canonical_text(payload).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -259,17 +263,15 @@ def _digest(payload: object) -> str:
 # treated as a miss.  Legacy files (bare payloads from before the
 # envelope existed) are still accepted — they simply carry no checksum.
 # ----------------------------------------------------------------------
-def _write_entry(file_path: str, payload: object) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    envelope = json.dumps(
-        {
-            "sha256": hashlib.sha256(text.encode()).hexdigest(),
-            "payload": json.loads(text),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    atomic_write_text(file_path, envelope)
+def _write_entry(file_path: str, text: str) -> None:
+    """Atomically publish the envelope of one canonical payload text.
+
+    The envelope is the canonical text of ``{"payload": ...,
+    "sha256": ...}`` (sorted keys put ``payload`` first), assembled
+    around ``text`` instead of parsing and re-serializing the payload.
+    """
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    atomic_write_text(file_path, f'{{"payload":{text},"sha256":"{digest}"}}')
 
 
 def _quarantine_entry(cache, file_path: str, reason: str) -> None:
@@ -424,7 +426,7 @@ class SimulationCache:
         self._memory[key] = stored
         if self._path is not None:
             file_path = os.path.join(self._path, f"{key}.json")
-            _write_entry(file_path, _result_to_dict(stored))
+            _write_entry(file_path, _canonical_text(_result_to_dict(stored)))
 
 
 def _result_to_dict_kwargs(result: SimulationResult) -> dict:
@@ -539,8 +541,24 @@ class SynthesisCache:
         return payload
 
     def put(self, key: str, payload: Mapping) -> None:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = _canonical_text(payload)
+        # a parsed copy, so later edits to ``payload`` cannot reach it
         self._memory[key] = json.loads(text)
         if self._path is not None:
             file_path = os.path.join(self._path, f"{key}.syn.json")
-            _write_entry(file_path, json.loads(text))
+            _write_entry(file_path, text)
+
+    def quarantine(self, key: str, reason: str) -> None:
+        """Drop an entry that :meth:`get` returned but that does not decode.
+
+        ``get`` checks only the envelope; the pass reading the payload
+        finds out whether it rehydrates.  The lookup is recounted as a
+        miss, and a directory entry is moved aside as ``*.corrupt`` like
+        any other corrupt file, so the recomputed pass writes a new one.
+        """
+        self._memory.pop(key, None)
+        self.hits -= 1
+        self.misses += 1
+        if self._path is not None:
+            file_path = os.path.join(self._path, f"{key}.syn.json")
+            _quarantine_entry(self, file_path, reason)

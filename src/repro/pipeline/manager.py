@@ -1,13 +1,15 @@
 """The pass manager: run declared passes over an artifact store.
 
 Running a pipeline is a fold over the pass list: for each pass the
-manager fingerprints the required input artifacts, merges options,
-consults the synthesis-artifact cache (when the pass is cacheable and a
-cache is supplied), executes or rehydrates, stores the provided
-artifacts, and appends a provenance record to the run manifest.  The
-cache key covers the pass name, every input fingerprint and the
-options, so a hit is only possible when recomputing would provably
-yield the same bytes.
+manager reads the required input fingerprints from the store (which
+digests each artifact once per run), merges options, consults the
+synthesis-artifact cache (when the pass is cacheable and a cache is
+supplied), executes or rehydrates, stores the provided artifacts, and
+appends a provenance record to the run manifest.  The cache key covers
+the pass name, every input fingerprint and the options, so a hit is
+only possible when recomputing would provably yield the same bytes.  A
+cached payload that does not rehydrate is quarantined and the pass is
+computed instead.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from ..core.dfg import DataflowGraph
-from ..errors import PipelineError
-from ..perf.cache import SynthesisCache, artifact_fingerprint
+from ..errors import PipelineError, ReproError
+from ..perf.cache import SynthesisCache
 from ..resources.allocation import ResourceAllocation
 from .artifacts import ArtifactStore
 from .manifest import CACHED, COMPUTED, PassRecord, RunManifest
@@ -39,6 +41,16 @@ def _canonical_options(options: Mapping[str, Any]) -> dict[str, Any]:
                 f"got {type(value).__name__}"
             )
     return canonical
+
+
+#: what a malformed cached payload raises while being rehydrated
+_UNDECODABLE = (
+    ReproError,
+    LookupError,
+    TypeError,
+    ValueError,
+    AttributeError,
+)
 
 
 class PassManager:
@@ -101,10 +113,7 @@ class PassManager:
         cache: "SynthesisCache | None",
     ) -> PassRecord:
         opts = _canonical_options(p.resolve_options(overrides))
-        inputs = {
-            name: artifact_fingerprint(store.get(name))
-            for name in p.requires
-        }
+        inputs = {name: store.fingerprint(name) for name in p.requires}
         cache_key = (
             SynthesisCache.key(p.name, inputs, opts)
             if p.cacheable
@@ -117,9 +126,19 @@ class PassManager:
         if cache is not None and cache_key is not None:
             payload = cache.get(cache_key)
             if payload is not None:
-                artifacts = p.from_payload(payload["artifacts"], store)
-                diagnostics = [dict(d) for d in payload["diagnostics"]]
-                status = CACHED
+                try:
+                    artifacts = p.from_payload(payload["artifacts"], store)
+                    diagnostics = [dict(d) for d in payload["diagnostics"]]
+                except _UNDECODABLE as exc:
+                    # the envelope passed but the payload is not this
+                    # pass's: costs a recompute, never the run
+                    cache.quarantine(
+                        cache_key,
+                        f"does not rehydrate ({type(exc).__name__})",
+                    )
+                    artifacts = None
+                else:
+                    status = CACHED
         if artifacts is None:
             artifacts = p.run(store, opts, diagnostics)
             if cache is not None and cache_key is not None:
@@ -139,10 +158,7 @@ class PassManager:
             )
         for name, value in artifacts.items():
             store.put(name, value)
-        outputs = {
-            name: artifact_fingerprint(store.get(name))
-            for name in p.provides
-        }
+        outputs = {name: store.fingerprint(name) for name in p.provides}
         return PassRecord(
             name=p.name,
             status=status,

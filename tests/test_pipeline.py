@@ -1,6 +1,9 @@
 """Tests for the pass-based synthesis pipeline."""
 
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,20 @@ class TestArtifactStore:
         )
         assert store.names() == ("dfg", "allocation")
         assert set(ARTIFACT_TYPES) >= set(store.names())
+
+    def test_put_replaces_memoized_fingerprint(self):
+        store = ArtifactStore(dfg=fir3())
+        first = store.fingerprint("dfg")
+        assert first == artifact_fingerprint(fir3())
+        store.put("dfg", differential_equation())
+        assert store.fingerprint("dfg") == artifact_fingerprint(
+            differential_equation()
+        )
+        assert store.fingerprint("dfg") != first
+
+    def test_fingerprint_of_missing_artifact_reported(self):
+        with pytest.raises(PipelineError, match="not been produced"):
+            ArtifactStore().fingerprint("schedule")
 
 
 class TestRegistries:
@@ -310,6 +327,149 @@ class TestCaching:
             assert dumps(fsm_to_dict(s1.get(name))) == dumps(
                 fsm_to_dict(s2.get(name))
             )
+
+
+def _baselined_designs() -> list[str]:
+    """Core designs plus the ``gen:`` designs with committed baselines."""
+    from repro.benchmarks.registry import core_benchmark_names
+
+    check_dir = Path(__file__).resolve().parents[1] / "baselines" / "check"
+    generated = sorted(path.stem for path in check_dir.glob("gen:*.json"))
+    return list(core_benchmark_names()) + generated
+
+
+class TestFingerprintMemo:
+    """The store digests each artifact once; no canned pass mutates one."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_run_fingerprints_each_artifact_once(self, monkeypatch, warm):
+        import repro.pipeline.artifacts as artifacts_module
+
+        cache = SynthesisCache()
+        if warm:
+            run_synthesis_pipeline(
+                differential_equation(),
+                "mul:2T,add:1,sub:1",
+                upto="model-check",
+                cache=cache,
+            )
+        digested = []
+
+        def counting(artifact):
+            digested.append(id(artifact))
+            return artifact_fingerprint(artifact)
+
+        monkeypatch.setattr(
+            artifacts_module, "artifact_fingerprint", counting
+        )
+        store, manifest = run_synthesis_pipeline(
+            differential_equation(),
+            "mul:2T,add:1,sub:1",
+            upto="model-check",
+            cache=cache,
+        )
+        assert manifest.all_cached() is warm
+        assert len(store) == 7
+        assert sorted(digested) == sorted(id(store.get(n)) for n in store)
+
+    @pytest.mark.parametrize("name", _baselined_designs())
+    def test_no_canned_pass_mutates_an_artifact(self, name):
+        from repro.benchmarks.registry import benchmark
+
+        entry = benchmark(name)
+        store, manifest = run_synthesis_pipeline(
+            entry.dfg(), entry.allocation(), upto=None, cache=SynthesisCache()
+        )
+        assert len(manifest.records) == len(synthesis_passes())
+        for artifact in store:
+            assert store.fingerprint(artifact) == artifact_fingerprint(
+                store.get(artifact)
+            ), artifact
+
+
+def _checksummed_envelope(payload) -> str:
+    """A cache file whose checksum verifies, whatever the payload."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        {
+            "payload": payload,
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        }
+    )
+
+
+class TestCacheHealing:
+    """A cached payload that does not rehydrate is quarantined."""
+
+    @pytest.mark.parametrize(
+        "entry_text",
+        [
+            # accepted by the reader as a legacy bare payload
+            '{"diagnostics": []}',
+            # verified, but the schedule inside is not a schedule
+            _checksummed_envelope(
+                {"artifacts": {"schedule": {}}, "diagnostics": []}
+            ),
+        ],
+        ids=["bare-payload", "envelope"],
+    )
+    def test_undecodable_entry_quarantined_and_recomputed(
+        self, tmp_path, entry_text
+    ):
+        from repro.benchmarks.registry import benchmark
+        from repro.runtime import active_report
+
+        entry = benchmark("fig2")
+        cache_dir = str(tmp_path / "cache")
+        _, cold = run_synthesis_pipeline(
+            entry.dfg(), entry.allocation(), cache=SynthesisCache(cache_dir)
+        )
+        key = cold.record_for("schedule").cache_key
+        file_path = os.path.join(cache_dir, f"{key}.syn.json")
+        with open(file_path, "w") as handle:
+            handle.write(entry_text)
+
+        cache = SynthesisCache(cache_dir)
+        with active_report() as report:
+            _, healed = run_synthesis_pipeline(
+                entry.dfg(), entry.allocation(), cache=cache
+            )
+        for record in healed.records:
+            fresh = cold.record_for(record.name)
+            assert record.inputs == fresh.inputs, record.name
+            assert record.outputs == fresh.outputs, record.name
+        statuses = {
+            r.name: r.status for r in healed.records if r.cacheable
+        }
+        assert statuses.pop("schedule") == "computed"
+        assert set(statuses.values()) == {"cached"}
+        assert (cache.hits, cache.misses) == (4, 1)
+        assert cache.quarantined == 1
+        assert report.count("cache-quarantine") == 1
+        assert os.path.exists(file_path + ".corrupt")
+        # the recomputed pass wrote a good entry back
+        _, again = run_synthesis_pipeline(
+            entry.dfg(), entry.allocation(), cache=SynthesisCache(cache_dir)
+        )
+        assert again.all_cached()
+
+    def test_undecodable_memory_entry_recomputed(self):
+        cache = SynthesisCache()
+        _, cold = run_synthesis_pipeline(
+            fir3(), "mul:2T,add:1", cache=cache
+        )
+        key = cold.record_for("schedule").cache_key
+        cache.put(key, {"diagnostics": []})
+        hits, misses = cache.hits, cache.misses
+        _, healed = run_synthesis_pipeline(
+            fir3(), "mul:2T,add:1", cache=cache
+        )
+        assert healed.record_for("schedule").status == "computed"
+        assert healed.record_for("order").status == "cached"
+        for record in healed.records:
+            assert record.outputs == cold.record_for(record.name).outputs
+        assert (cache.hits - hits, cache.misses - misses) == (4, 1)
+        assert set(cache.get(key)) == {"artifacts", "diagnostics"}
 
 
 class TestSchedulerRegistryEntries:

@@ -11,6 +11,9 @@ These pin the ISSUE's hard criteria:
 * the provenance manifest is byte-stable across fresh runs.
 """
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.benchmarks import all_benchmarks
@@ -19,6 +22,7 @@ from repro.pipeline import run_synthesis_pipeline, synthesize_design
 from repro.serialize import design_to_dict, dumps
 
 BENCHMARKS = [entry.name for entry in all_benchmarks()]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _manual_flow(dfg, allocation):
@@ -118,3 +122,29 @@ def test_manifest_byte_stable_for_every_benchmark():
         _, m1 = run_synthesis_pipeline(entry.dfg(), entry.allocation())
         _, m2 = run_synthesis_pipeline(entry.dfg(), entry.allocation())
         assert m1.to_json() == m2.to_json(), entry.name
+
+
+def test_diffeq_manifest_and_cache_files_match_golden(tmp_path):
+    """A full canned run keeps its manifest and cache-file bytes.
+
+    The goldens pin every fingerprint, cache key and diagnostic of the
+    nine passes, and the SHA-256 of each ``.syn.json`` file (in
+    ``sha256sum`` format) the eight cacheable passes write.
+    """
+    from repro.benchmarks.registry import benchmark
+
+    entry = benchmark("diffeq")
+    cache_dir = tmp_path / "cache"
+    _, manifest = run_synthesis_pipeline(
+        entry.dfg(),
+        entry.allocation(),
+        upto=None,
+        cache=SynthesisCache(str(cache_dir)),
+    )
+    expected = (GOLDEN / "manifest_diffeq.json").read_text()
+    assert manifest.to_json() + "\n" == expected
+    digests = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted(cache_dir.glob("*.syn.json"))
+    )
+    assert digests == (GOLDEN / "synth_cache_diffeq.sha256").read_text()

@@ -23,11 +23,11 @@ def _double(x: int) -> int:
 
 class TestAtomicWrite:
     def test_roundtrip_leaves_no_temp_files(self, tmp_path):
-        target = str(tmp_path / "blob.bin")
-        atomic_write_bytes(target, b"hello")
-        assert open(target, "rb").read() == b"hello"
-        atomic_write_bytes(target, b"replaced")
-        assert open(target, "rb").read() == b"replaced"
+        target = tmp_path / "blob.bin"
+        atomic_write_bytes(str(target), b"hello")
+        assert target.read_bytes() == b"hello"
+        atomic_write_bytes(str(target), b"replaced")
+        assert target.read_bytes() == b"replaced"
         assert os.listdir(str(tmp_path)) == ["blob.bin"]
 
 
@@ -52,7 +52,8 @@ class TestCheckpointJournal:
         key = journal.key("run-a", 3)
         journal.put(key, [1, 2, 3])
         shard = journal.shard_file(key)
-        blob = open(shard, "rb").read()
+        with open(shard, "rb") as handle:
+            blob = handle.read()
         with open(shard, "wb") as handle:
             handle.write(blob[: len(blob) - 4])
         fresh = CheckpointJournal(path)

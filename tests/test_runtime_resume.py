@@ -14,6 +14,11 @@ from repro.runtime import CheckpointJournal
 from repro.sim.runner import monte_carlo_latency
 
 
+def _read(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
+
+
 class TestCampaignResume:
     def test_killed_campaign_resumes_byte_identically(
         self, fig2_result, tmp_path
@@ -98,8 +103,8 @@ class TestCliResume:
             )
             == 0
         )
-        assert open(ck_json).read() == open(clean_json).read()
-        manifest = json.load(open(os.path.join(ck, "manifest.json")))
+        assert _read(ck_json) == _read(clean_json)
+        manifest = json.loads(_read(os.path.join(ck, "manifest.json")))
         assert manifest["argv"] == (
             self.FAULT_ARGS + ["--json", ck_json, "--checkpoint-dir", ck]
         )
@@ -108,7 +113,7 @@ class TestCliResume:
         assert cli.main(["resume", ck]) == 0
         err = capsys.readouterr().err
         assert "resuming: repro faults fig2" in err
-        assert open(ck_json).read() == open(clean_json).read()
+        assert _read(ck_json) == _read(clean_json)
 
     def test_resume_rejects_missing_manifest(self, tmp_path, capsys):
         assert cli.main(["resume", str(tmp_path)]) == 1
