@@ -527,16 +527,10 @@ def _check_worker(item):
 
 
 def _cmd_lint(args) -> int:
-    import dataclasses
     import json
 
     from .perf.engine import parallel_map
-    from .verify import (
-        gate_report,
-        load_baseline,
-        write_baseline,
-    )
-    from .verify.baseline import baseline_path
+    from .verify.baseline import gate_against_baseline, write_baseline
 
     names = list(args.benchmarks) or [
         entry.name for entry in all_benchmarks()
@@ -556,19 +550,15 @@ def _cmd_lint(args) -> int:
         for report in reports:
             path = write_baseline(args.baseline_dir, report)
             print(f"wrote baseline {path}", file=sys.stderr)
-    gates = []
-    for report in reports:
-        baseline = load_baseline(args.baseline_dir, report.design)
-        gate = gate_report(report, baseline, fail_on=args.fail_on)
-        if args.check_baseline:
-            path = baseline_path(args.baseline_dir, report.design)
-            stable = (
-                path.is_file()
-                and path.read_text(encoding="utf-8")
-                == report.to_json() + "\n"
-            )
-            gate = dataclasses.replace(gate, byte_stable=stable)
-        gates.append(gate)
+    gates = [
+        gate_against_baseline(
+            report,
+            args.baseline_dir,
+            fail_on=args.fail_on,
+            check_baseline=args.check_baseline,
+        )
+        for report in reports
+    ]
     if args.format == "json":
         out = (
             json.dumps(
@@ -602,16 +592,10 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    import dataclasses
     import json
 
     from .perf.engine import parallel_map
-    from .verify import (
-        gate_report,
-        load_baseline,
-        write_baseline,
-    )
-    from .verify.baseline import baseline_path
+    from .verify.baseline import gate_against_baseline, write_baseline
 
     names = list(args.benchmarks) or [
         entry.name for entry in all_benchmarks()
@@ -641,19 +625,15 @@ def _cmd_check(args) -> int:
         for report in reports:
             path = write_baseline(args.baseline_dir, report)
             print(f"wrote baseline {path}", file=sys.stderr)
-    gates = []
-    for report in reports:
-        baseline = load_baseline(args.baseline_dir, report.design)
-        gate = gate_report(report, baseline, fail_on=args.fail_on)
-        if args.check_baseline:
-            path = baseline_path(args.baseline_dir, report.design)
-            stable = (
-                path.is_file()
-                and path.read_text(encoding="utf-8")
-                == report.to_json() + "\n"
-            )
-            gate = dataclasses.replace(gate, byte_stable=stable)
-        gates.append(gate)
+    gates = [
+        gate_against_baseline(
+            report,
+            args.baseline_dir,
+            fail_on=args.fail_on,
+            check_baseline=args.check_baseline,
+        )
+        for report in reports
+    ]
     if args.format == "json":
         out = (
             json.dumps(

@@ -202,8 +202,10 @@ def parallel_map(
     :mod:`repro.runtime.supervisor`.  Recovery events are recorded in
     ``report`` (or the ambient
     :func:`~repro.runtime.policy.active_report`).  ``on_result(index,
-    value)`` fires in the calling process once per completed item, in
-    completion order — checkpoint journals persist shards through it.
+    value)`` fires in the calling process once per completed item as
+    its result arrives — in item order, or in completion order under a
+    ``policy`` — so checkpoint journals persist shards through it while
+    the map still runs.
 
     ``fn`` must be a module-level callable (or a ``functools.partial``
     of one) whose captured arguments pickle; per-item randomness must be
@@ -275,16 +277,22 @@ def parallel_map(
             report=report,
             on_result=on_result,
         )
+    results: list[_R] = []
     try:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(fn, work, chunksize=chunksize))
+            # consumed lazily, so on_result sees each result as it
+            # arrives and a failure mid-pool keeps what came before it
+            for value in pool.map(fn, work, chunksize=chunksize):
+                if on_result is not None:
+                    on_result(len(results) + offset, value)
+                results.append(value)
     except (pickle.PicklingError, AttributeError, TypeError):
         # A payload that *claimed* picklability can still fail inside
         # the pool (e.g. results that do not unpickle); fall back rather
-        # than lose the run.
+        # than lose the run, for the items not yet returned.
         _warn_serial_fallback(fn, work[0], report)
-        return prefix + _serial_map(fn, work, on_result, start=offset)
-    if on_result is not None:
-        for index, value in enumerate(results):
-            on_result(index + offset, value)
+        done = len(results)
+        return prefix + results + _serial_map(
+            fn, work[done:], on_result, start=offset + done
+        )
     return prefix + results

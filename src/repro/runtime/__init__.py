@@ -13,9 +13,10 @@ case computes:
   timeout degradations, quarantined cache entries) a resilient run
   performed on the way to its byte-identical result;
 * :class:`~repro.runtime.journal.CheckpointJournal` — a crash-safe,
-  content-addressed shard journal giving long drivers checkpoint /
-  resume (``repro resume``) with output byte-identical to an
-  uninterrupted run;
+  content-addressed shard journal (one checksummed, ``fsync``'d
+  record per shard in a per-directory append-only log) giving long
+  drivers checkpoint / resume (``repro resume``) with output
+  byte-identical to an uninterrupted run;
 * :class:`~repro.runtime.chaos.ChaosConfig` — deterministic worker
   crash/failure/hang injection for exercising the supervisor itself.
 """

@@ -11,7 +11,7 @@ report be byte-identical to the committed file — the CI drift gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..errors import VerificationError
@@ -69,10 +69,12 @@ class GateResult:
     known: tuple[Diagnostic, ...]
     resolved: tuple[Diagnostic, ...]
     byte_stable: "bool | None" = None
+    #: absolute path of a baseline the drift gate required but did not find
+    missing_baseline: "str | None" = None
 
     @property
     def passed(self) -> bool:
-        ok = not self.new
+        ok = not self.new and self.missing_baseline is None
         if self.byte_stable is not None:
             ok = ok and self.byte_stable
         return ok
@@ -87,6 +89,12 @@ class GateResult:
             parts.append(f"  NEW {d.render()}")
         for d in self.resolved:
             parts.append(f"  RESOLVED {d.render()}")
+        if self.missing_baseline is not None:
+            parts.append(
+                f"  no baseline file at {self.missing_baseline}; point "
+                f"--baseline-dir at the committed baselines (a relative "
+                f"directory is read from the current directory)"
+            )
         if self.byte_stable is False:
             parts.append(
                 "  baseline file is not byte-identical to the fresh "
@@ -136,3 +144,26 @@ def gate_report(
         resolved=resolved,
         byte_stable=byte_stable,
     )
+
+
+def gate_against_baseline(
+    report: DiagnosticReport,
+    directory: "str | Path",
+    fail_on: str = "error",
+    check_baseline: bool = False,
+) -> GateResult:
+    """Gate a fresh report against its baseline in ``directory``.
+
+    ``check_baseline`` is the CLI drift gate: the committed file must
+    exist and hold exactly the fresh report's bytes.  A missing file is
+    its own failure naming the absolute path looked for, never drift.
+    """
+    baseline = load_baseline(directory, report.design)
+    gate = gate_report(report, baseline, fail_on=fail_on)
+    if not check_baseline:
+        return gate
+    path = baseline_path(directory, report.design)
+    if baseline is None:
+        return replace(gate, missing_baseline=str(path.resolve()))
+    stable = path.read_text(encoding="utf-8") == report.to_json() + "\n"
+    return replace(gate, byte_stable=stable)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import os
 import pickle
+import time
 
 import pytest
 
-from repro.errors import CheckpointInterrupted
+from repro.errors import CheckpointError, CheckpointInterrupted
 from repro.runtime import CheckpointJournal, active_report, checkpointed_map
 from repro.runtime.journal import (
-    SHARD_SUFFIX,
+    LOG_NAME,
     atomic_write_bytes,
     resolve_journal,
 )
@@ -19,6 +22,51 @@ from repro.runtime.policy import RunReport
 
 def _double(x: int) -> int:
     return 2 * x
+
+
+def _slow_square(x: int) -> int:
+    time.sleep(0.03)
+    return x * x
+
+
+def _slow_square_failing_at_15(x: int) -> int:
+    if x == 15:
+        raise ValueError("trial 15 fails")
+    return _slow_square(x)
+
+
+def _records(path: str) -> list[bytes]:
+    """The log's lines, each with its newline (a torn tail has none)."""
+    with open(path, "rb") as handle:
+        return handle.read().splitlines(keepends=True)
+
+
+def _write_log(path: str, records: "list[bytes]") -> None:
+    with open(path, "wb") as handle:
+        handle.write(b"".join(records))
+
+
+def _record(key: str, payload: bytes) -> bytes:
+    digest = hashlib.sha256(payload).hexdigest()
+    return f"{key} {digest} ".encode() + base64.b64encode(payload) + b"\n"
+
+
+def _truncate(path: str) -> None:
+    """Tear the last record: cut the log inside it."""
+    last = _records(path)[-1]
+    size = os.path.getsize(path)
+    with open(path, "r+b") as handle:
+        handle.truncate(size - len(last) // 2)
+
+
+def _bit_flip(path: str, record: int = 0) -> None:
+    """Flip one bit in the middle of one record's payload field."""
+    records = _records(path)
+    line = bytearray(records[record])
+    payload_start = line.rindex(b" ") + 1
+    line[(payload_start + len(line) - 1) // 2] ^= 0x01
+    records[record] = bytes(line)
+    _write_log(path, records)
 
 
 class TestAtomicWrite:
@@ -51,43 +99,37 @@ class TestCheckpointJournal:
         journal = CheckpointJournal(path)
         key = journal.key("run-a", 3)
         journal.put(key, [1, 2, 3])
-        shard = journal.shard_file(key)
-        with open(shard, "rb") as handle:
+        with open(journal.log_path, "rb") as handle:
             blob = handle.read()
-        with open(shard, "wb") as handle:
+        with open(journal.log_path, "wb") as handle:
             handle.write(blob[: len(blob) - 4])
         fresh = CheckpointJournal(path)
         with active_report() as report:
             assert fresh.get(key) == (False, None)
         assert fresh.quarantined == 1
-        assert os.path.exists(shard + ".corrupt")
+        assert os.path.exists(journal.log_path + ".1.corrupt")
         assert report.count("journal-quarantine") == 1
         fresh.put(key, [1, 2, 3])
         assert fresh.get(key) == (True, [1, 2, 3])
+        assert CheckpointJournal(path).get(key) == (True, [1, 2, 3])
 
     def test_garbage_header_quarantined(self, tmp_path):
         path = str(tmp_path / "ck")
         journal = CheckpointJournal(path)
         key = journal.key("run-a", 0)
-        with open(journal.shard_file(key), "wb") as handle:
-            handle.write(b"not a shard at all")
+        _write_log(journal.log_path, [b"not a record at all\n"])
         assert journal.get(key) == (False, None)
         assert journal.quarantined == 1
 
     def test_unpicklable_payload_quarantined(self, tmp_path):
-        import hashlib
-
         journal = CheckpointJournal(str(tmp_path / "ck"))
         key = journal.key("run-a", 0)
         # a valid checksum over bytes that do not unpickle
-        payload = b"not a pickle"
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        with open(journal.shard_file(key), "wb") as handle:
-            handle.write(digest + b"\n" + payload)
+        _write_log(journal.log_path, [_record(key, b"not a pickle")])
         assert journal.get(key) == (False, None)
         assert journal.quarantined == 1
         assert journal.corrupt_files() == [
-            journal.shard_file(key) + ".corrupt"
+            journal.log_path + ".1.corrupt"
         ]
 
     def test_max_new_shards_interrupts_deterministically(self, tmp_path):
@@ -120,10 +162,12 @@ class TestCheckpointedMap:
             _double, range(6), run_key="run", checkpoint=path
         )
         assert out == [0, 2, 4, 6, 8, 10]
-        shards = [
-            f for f in os.listdir(path) if f.endswith(SHARD_SUFFIX)
+        assert os.listdir(path) == [LOG_NAME]
+        keys = [
+            record.split(b" ")[0].decode()
+            for record in _records(os.path.join(path, LOG_NAME))
         ]
-        assert len(shards) == 6
+        assert keys == [CheckpointJournal.key("run", i) for i in range(6)]
         replay = CheckpointJournal(path)
         again = checkpointed_map(
             _double, range(6), run_key="run", checkpoint=replay
@@ -164,28 +208,38 @@ class TestCheckpointedMap:
         assert first == second
         assert replay.replayed == 8
 
+    @pytest.mark.parametrize("chunksize, persisted", [(1, 15), (3, 13)])
+    def test_pool_persists_results_before_a_failure(
+        self, tmp_path, chunksize, persisted
+    ):
+        # the pool returns a chunk as one result, so a failing item
+        # also loses the chunk-mates computed with it: with chunks of 3
+        # after the probe's item 0, item 15 shares a chunk with 13, 14
+        path = str(tmp_path / "ck")
+        journal = CheckpointJournal(path)
+        report = RunReport()
+        with pytest.raises(ValueError):
+            checkpointed_map(
+                _slow_square_failing_at_15, range(20), run_key="pool",
+                checkpoint=journal, workers=2, chunksize=chunksize,
+                report=report,
+            )
+        decisions = [
+            event.detail for event in report.events
+            if event.kind == "parallel-amortization"
+        ]
+        assert len(decisions) == 1 and "running on 2 workers" in decisions[0]
+        assert journal.new_shards == persisted
+        resumed = CheckpointJournal(path)
+        out = checkpointed_map(
+            _slow_square, range(20), run_key="pool", checkpoint=resumed
+        )
+        assert out == [x * x for x in range(20)]
+        assert resumed.replayed == persisted
+        assert resumed.new_shards == 20 - persisted
+
 
 RUN_KEY = "torn-shard-test|v1"
-
-
-def _shard_bytes(journal: CheckpointJournal, key: str) -> bytes:
-    with open(journal.shard_file(key), "rb") as handle:
-        return handle.read()
-
-
-def _truncate(path: str) -> None:
-    size = os.path.getsize(path)
-    with open(path, "r+b") as handle:
-        handle.truncate(max(size // 2, 1))
-
-
-def _bit_flip(path: str) -> None:
-    with open(path, "r+b") as handle:
-        blob = bytearray(handle.read())
-        blob[-1] ^= 0xFF
-        handle.seek(0)
-        handle.write(blob)
-
 
 CORRUPTIONS = {"truncate": _truncate, "bit-flip": _bit_flip}
 
@@ -196,6 +250,7 @@ class TestTornShardMidCampaign:
     @pytest.mark.parametrize("tear", sorted(CORRUPTIONS))
     def test_resume_recomputes_torn_shard(self, tmp_path, tear):
         path = str(tmp_path / "ckpt")
+        log = os.path.join(path, LOG_NAME)
         items = list(range(6))
         baseline = [item * item for item in items]
 
@@ -206,13 +261,8 @@ class TestTornShardMidCampaign:
                 run_key=RUN_KEY,
                 checkpoint=CheckpointJournal(path, max_new_shards=3),
             )
-        shards = sorted(
-            name
-            for name in os.listdir(path)
-            if name.endswith(".shard.pkl")
-        )
-        assert len(shards) == 3
-        CORRUPTIONS[tear](os.path.join(path, shards[0]))
+        assert len(_records(log)) == 3
+        CORRUPTIONS[tear](log)
 
         report = RunReport()
         resumed = checkpointed_map(
@@ -224,9 +274,7 @@ class TestTornShardMidCampaign:
         )
         assert resumed == baseline
         assert report.count("journal-quarantine") == 1
-        assert os.path.exists(
-            os.path.join(path, shards[0] + ".corrupt")
-        )
+        assert os.path.exists(log + ".1.corrupt")
         # the recomputed shard re-verifies: a third pass is pure replay
         replay_journal = CheckpointJournal(path)
         assert (
@@ -243,21 +291,120 @@ class TestTornShardMidCampaign:
 
     def test_recomputed_shard_bytes_match_original(self, tmp_path):
         # content-addressed + deterministic pickle: the recomputed
-        # shard file is byte-identical to the one that was torn
-        journal = CheckpointJournal(str(tmp_path / "ckpt"))
+        # record is byte-identical to the one that was torn
+        path = str(tmp_path / "ckpt")
+        journal = CheckpointJournal(path)
         key = journal.key(RUN_KEY, 0)
         journal.put(key, {"stats": (1.5, 2.5)})
-        original = _shard_bytes(journal, key)
-        _bit_flip(journal.shard_file(key))
-        assert journal.get(key) == (False, None)
-        journal.put(key, {"stats": (1.5, 2.5)})
-        assert _shard_bytes(journal, key) == original
+        [original] = _records(journal.log_path)
+        _bit_flip(journal.log_path)
+        fresh = CheckpointJournal(path)
+        assert fresh.get(key) == (False, None)
+        fresh.put(key, {"stats": (1.5, 2.5)})
+        assert _records(journal.log_path) == [original]
 
     def test_shard_payload_is_checksummed_pickle(self, tmp_path):
         journal = CheckpointJournal(str(tmp_path / "ckpt"))
         key = journal.key(RUN_KEY, 0)
         journal.put(key, [1, 2])
-        blob = _shard_bytes(journal, key)
-        digest, payload = blob.split(b"\n", 1)
+        [record] = _records(journal.log_path)
+        assert record.endswith(b"\n")
+        stored_key, digest, encoded = record[:-1].split(b" ")
+        assert stored_key.decode() == key
+        payload = base64.b64decode(encoded, validate=True)
         assert len(digest) == 64
+        assert hashlib.sha256(payload).hexdigest().encode() == digest
         assert pickle.loads(payload) == [1, 2]
+
+
+class TestRecordLog:
+    """One append-only log per directory, one ``fsync`` per shard."""
+
+    def test_puts_append_to_one_file_with_one_fsync_each(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "ck")
+        journal = CheckpointJournal(path)
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        for shard in range(7):
+            journal.put(journal.key("run", shard), shard)
+        assert os.listdir(path) == [LOG_NAME]
+        assert len(calls) == 7
+        assert len(_records(journal.log_path)) == 7
+
+    def test_torn_tail_then_appends_replays_every_later_record(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "ck")
+        keys = [CheckpointJournal.key("run", shard) for shard in range(6)]
+        first = CheckpointJournal(path)
+        for shard in range(3):
+            first.put(keys[shard], shard)
+        _truncate(first.log_path)  # a kill while writing shard 2
+        second = CheckpointJournal(path)
+        for shard in range(3, 6):
+            second.put(keys[shard], shard)
+        assert second.quarantined == 1
+        replay = CheckpointJournal(path)
+        found = [replay.get(key) for key in keys]
+        assert found == [
+            (True, 0), (True, 1), (False, None),
+            (True, 3), (True, 4), (True, 5),
+        ]
+        assert replay.quarantined == 0
+        assert len(replay.corrupt_files()) == 1
+
+    def test_bit_flip_in_middle_record_quarantines_only_it(self, tmp_path):
+        path = str(tmp_path / "ck")
+        keys = [CheckpointJournal.key("run", shard) for shard in range(5)]
+        journal = CheckpointJournal(path)
+        for shard, key in enumerate(keys):
+            journal.put(key, {"shard": shard})
+        _bit_flip(journal.log_path, record=2)
+        with open(journal.log_path, "rb") as handle:
+            flipped = handle.read()
+        fresh = CheckpointJournal(path)
+        with active_report() as report:
+            found = [fresh.get(key) for key in keys]
+        assert found == [
+            (True, {"shard": 0}), (True, {"shard": 1}), (False, None),
+            (True, {"shard": 3}), (True, {"shard": 4}),
+        ]
+        assert fresh.quarantined == 1
+        assert report.count("journal-quarantine") == 1
+        assert len(_records(fresh.log_path)) == 4
+        [corrupt] = fresh.corrupt_files()
+        with open(corrupt, "rb") as handle:
+            assert handle.read() == flipped
+
+    def test_stray_shard_file_ignored(self, tmp_path):
+        path = str(tmp_path / "ck")
+        key = CheckpointJournal.key("run", 0)
+        # a verified shard in the older one-file-per-shard layout
+        payload = pickle.dumps(42, protocol=4)
+        stray = os.path.join(path, f"{key}.shard.pkl")
+        os.makedirs(path)
+        with open(stray, "wb") as handle:
+            handle.write(
+                hashlib.sha256(payload).hexdigest().encode()
+                + b"\n" + payload
+            )
+        journal = CheckpointJournal(path)
+        assert journal.get(key) == (False, None)
+        assert journal.replayed == 0 and journal.quarantined == 0
+        assert journal.corrupt_files() == []
+        assert os.path.exists(stray)
+
+    def test_key_must_be_one_token(self, tmp_path):
+        journal = CheckpointJournal(str(tmp_path / "ck"))
+        for key in ("", "two words", "line\nbreak"):
+            with pytest.raises(CheckpointError):
+                journal.put(key, 0)
+        assert not os.path.exists(journal.log_path)

@@ -308,6 +308,21 @@ class TestLintCli:
             == 1
         )
 
+    def test_check_baseline_missing_outside_repo_root(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the default --baseline-dir is relative: from another cwd it
+        # names no file, which is its own failure, not "drift"
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "fig2", "--check-baseline"]) == 1
+        out = capsys.readouterr().out
+        looked_for = tmp_path / "baselines" / "lint" / "fig2.json"
+        assert f"no baseline file at {looked_for}" in out
+        assert "--baseline-dir" in out
+        assert "--write-baseline" not in out
+        assert "not byte-identical" not in out
+        assert not (tmp_path / "baselines").exists()
+
     def test_allocation_requires_single_benchmark(self, tmp_path):
         code = main(
             [

@@ -401,6 +401,22 @@ class TestCheckCli:
         baseline.write_text(baseline.read_text() + "\n")
         assert main([*args, "--check-baseline"]) == 1
 
+    def test_check_baseline_missing_outside_repo_root(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the default --baseline-dir is relative: from another cwd it
+        # names no file, which is its own failure, not "drift"
+        monkeypatch.chdir(tmp_path)
+        out_file = tmp_path / "check.json"
+        args = ["check", "fig2", "--check-baseline", "--format", "json"]
+        assert main([*args, "-o", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        looked_for = tmp_path / "baselines" / "check" / "fig2.json"
+        assert f"no baseline file at {looked_for}" in err
+        assert "--baseline-dir" in err
+        assert "--write-baseline" not in err
+        assert "not byte-identical" not in err
+
     def test_jobs_output_byte_identical(self, tmp_path):
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
