@@ -14,8 +14,9 @@ Run:  python examples/multilevel_vcau.py
 from repro import synthesize
 from repro.analysis import (
     DistLatencyEvaluator,
+    analyze_dist,
+    analyze_sync,
     duration_table,
-    exact_expected_latency_categorical,
     render_table,
 )
 from repro.benchmarks import fir5
@@ -42,12 +43,8 @@ def main() -> None:
     for probs in ((0.8, 0.15, 0.05), (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)):
         table = duration_table(result.bound, probs)
         evaluator = DistLatencyEvaluator(result.bound)
-        dist = exact_expected_latency_categorical(
-            evaluator.for_durations, table
-        )
-        sync = exact_expected_latency_categorical(
-            result.taubm.cycles_for_durations, table
-        )
+        dist = analyze_dist(evaluator, table).expectation
+        sync = analyze_sync(result.taubm, table).expectation
         rows.append(
             [
                 str(list(probs)),

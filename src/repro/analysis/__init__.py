@@ -14,10 +14,8 @@ from .distribution import (
 )
 from .exact_engine import (
     ExactLatencyAnalysis,
-    analyze_dist_categorical,
-    analyze_dist_latency,
-    analyze_sync_categorical,
-    analyze_sync_latency,
+    analyze_dist,
+    analyze_sync,
     graph_latency_pmf,
 )
 from .latency import (
@@ -30,7 +28,6 @@ from .latency import (
     compare_latencies,
     dist_latency_cycles,
     duration_table,
-    exact_expected_latency_categorical,
     enumerate_assignments,
     exact_expected_latency,
     expected_latency,
@@ -59,10 +56,8 @@ __all__ = [
     "SyncLatencyEvaluator",
     "ThroughputBound",
     "activity_report",
-    "analyze_dist_categorical",
-    "analyze_dist_latency",
-    "analyze_sync_categorical",
-    "analyze_sync_latency",
+    "analyze_dist",
+    "analyze_sync",
     "graph_latency_pmf",
     "compare_activity",
     "UnitUtilization",
@@ -72,7 +67,6 @@ __all__ = [
     "compare_latencies",
     "dist_latency_cycles",
     "duration_table",
-    "exact_expected_latency_categorical",
     "enumerate_assignments",
     "exact_expected_latency",
     "exact_latency_distribution",

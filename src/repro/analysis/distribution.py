@@ -2,9 +2,11 @@
 
 Table 2 reports expected latencies; designers sizing real-time budgets
 need the whole distribution — e.g. "which latency is met 99% of the
-time?".  Because the fast/slow outcomes are independent Bernoulli draws,
-the exact probability mass function over cycle counts is computable by
-the same exhaustive enumeration the expectation uses.
+time?".  Because the per-op durations are independent draws, the exact
+probability mass function over cycle counts is computable: the exact
+engine (:mod:`repro.analysis.exact_engine`) propagates it for the
+structured evaluators, and :func:`exact_latency_distribution` is the one
+``2**k`` enumerator for opaque latency callables.
 """
 
 from __future__ import annotations
@@ -113,27 +115,40 @@ def exact_latency_distribution(
 
     ``p`` is one shared fast probability or a per-op mapping (the
     resolved marginals of a ``per-unit`` completion spec).  Structured
-    evaluators (``DistLatencyEvaluator``, ``SyncLatencyEvaluator``)
-    dispatch to the exact engine's distribution propagation and are
-    feasible at any ``k``; opaque callables enumerate all ``2**k``
-    assignments, bounded by ``limit``.
+    evaluators run the exact engine on the two-row duration table of
+    ``tau_ops`` and are feasible at any ``k``: a
+    ``DistLatencyEvaluator`` reads each op's fast and slow cycles, a
+    ``SyncLatencyEvaluator`` its binary one-or-two-cycle step.  Opaque
+    callables — and structured ones whose correlated cut is too wide —
+    are enumerated over all ``2**k`` assignments, bounded by ``limit``.
     """
     from ..errors import ExactAnalysisError
-    from .latency import DistLatencyEvaluator, SyncLatencyEvaluator
+    from .exact_engine import analyze_dist, analyze_sync
+    from .latency import (
+        DistLatencyEvaluator,
+        SyncLatencyEvaluator,
+        _fast_probabilities,
+    )
 
+    probs = _fast_probabilities(tau_ops, p)
     try:
         if isinstance(latency_fn, DistLatencyEvaluator):
-            from .exact_engine import analyze_dist_latency
-
-            return analyze_dist_latency(
-                latency_fn, tau_ops, p, scheme=scheme, clock_ns=clock_ns
+            names, _, fast, slow = latency_fn.execution_structure()
+            cycles = dict(zip(names, zip(fast, slow)))
+            table = {
+                op: ((cycles[op][0], q), (cycles[op][1], 1.0 - q))
+                for op, q in zip(tau_ops, probs)
+                if op in cycles
+            }
+            return analyze_dist(
+                latency_fn, table, scheme=scheme, clock_ns=clock_ns
             ).distribution
         if isinstance(latency_fn, SyncLatencyEvaluator):
-            from .exact_engine import analyze_sync_latency
-
-            return analyze_sync_latency(
-                latency_fn.taubm, tau_ops, p,
-                scheme=scheme, clock_ns=clock_ns,
+            table = {
+                op: ((1, q), (2, 1.0 - q)) for op, q in zip(tau_ops, probs)
+            }
+            return analyze_sync(
+                latency_fn.taubm, table, scheme=scheme, clock_ns=clock_ns
             ).distribution
     except ExactAnalysisError:
         if len(tau_ops) > limit:
@@ -141,28 +156,17 @@ def exact_latency_distribution(
         # cut too wide for the engine but enumeration still feasible
     if len(tau_ops) > limit:
         raise SimulationError(
-            f"{len(tau_ops)} telescopic ops exceed the enumeration limit"
+            f"{len(tau_ops)} telescopic ops exceed the exact enumeration "
+            f"limit {limit}; use monte_carlo_expected_latency"
         )
-    from .latency import _check_p_values, _op_p
-
-    _check_p_values(p)
     mass: dict[int, float] = {}
     for values in enumerate_assignments(tau_ops):
-        fast = dict(zip(tau_ops, values))
-        if isinstance(p, Mapping):
-            weight = 1.0
-            for op, is_fast in fast.items():
-                p_op = _op_p(p, op)
-                weight *= p_op if is_fast else 1.0 - p_op
-        else:
-            # power form, byte-identical to the historical scalar path
-            fast_count = sum(values)
-            weight = (p ** fast_count) * (
-                (1.0 - p) ** (len(tau_ops) - fast_count)
-            )
+        weight = 1.0
+        for q, is_fast in zip(probs, values):
+            weight *= q if is_fast else 1.0 - q
         if weight == 0.0:
             continue
-        cycles = latency_fn(fast)
+        cycles = latency_fn(dict(zip(tau_ops, values)))
         mass[cycles] = mass.get(cycles, 0.0) + weight
     return LatencyDistribution(
         scheme=scheme,
@@ -212,45 +216,29 @@ class DistributionComparison:
 
 
 def compare_distributions(
-    bound,
-    taubm,
-    p: "float | str | CompletionSpec" = 0.7,
-    limit: int = EXACT_ENUMERATION_LIMIT,
+    bound, taubm, p: "float | str | CompletionSpec" = 0.7
 ) -> DistributionComparison:
     """Exact distribution comparison for one synthesized design.
 
     ``p`` accepts any i.i.d. completion spec (float, spec string, or
-    :class:`~repro.resources.spec.CompletionSpec`); correlated specs
+    :class:`~repro.resources.spec.CompletionSpec`); both schemes read
+    one :func:`~repro.analysis.latency.duration_table`, so CENT-SYNC
+    steps take the bound graph's slow cycle counts.  Correlated specs
     raise :class:`~repro.errors.ExactAnalysisError` — use the
     Monte-Carlo engines for those.
     """
     from ..resources.spec import BernoulliSpec, as_completion_spec
-    from .latency import DistLatencyEvaluator, SyncLatencyEvaluator
+    from .exact_engine import analyze_dist, analyze_sync
+    from .latency import DistLatencyEvaluator, duration_table
 
     spec = as_completion_spec(p)
-    tau_ops = bound.telescopic_ops()
+    table = duration_table(bound, spec)
     clock = bound.allocation.clock_period_ns()
-    # Bernoulli keeps the scalar fast path (byte-identical to the
-    # legacy float argument); other specs resolve per-op marginals
-    p_value: "float | Mapping[str, float]" = (
-        spec.p
-        if isinstance(spec, BernoulliSpec)
-        else spec.op_probabilities(bound, tau_ops)
-    )
-    dist = exact_latency_distribution(
-        "DIST", DistLatencyEvaluator(bound), tau_ops, p_value, clock, limit
-    )
-    sync = exact_latency_distribution(
-        "CENT-SYNC",
-        SyncLatencyEvaluator(taubm),
-        tau_ops,
-        p_value,
-        clock,
-        limit,
-    )
     return DistributionComparison(
         benchmark=bound.dfg.name,
         p=spec.p if isinstance(spec, BernoulliSpec) else spec.describe(),
-        dist=dist,
-        sync=sync,
+        dist=analyze_dist(
+            DistLatencyEvaluator(bound), table, clock_ns=clock
+        ).distribution,
+        sync=analyze_sync(taubm, table, clock_ns=clock).distribution,
     )

@@ -1,28 +1,32 @@
 """Exact latency analysis by distribution propagation (no ``2**k`` sweep).
 
-The enumerator in :mod:`repro.analysis.latency` evaluates the longest
-path once per fast/slow assignment — ``2**k`` evaluations for ``k``
+The enumerator in :mod:`repro.analysis.distribution` evaluates the
+latency once per fast/slow assignment — ``2**k`` evaluations for ``k``
 telescopic operations (65536 on the AR lattice, ~1.7 s per P value).
-This module computes the same PMF by propagating per-node *finish-time
-distributions* through the execution graph instead:
+This module computes the same PMF from one
+:data:`~repro.analysis.latency.DurationTable` — each TAU op's
+independent ``(cycles, probability)`` rows, built by
+:func:`~repro.analysis.latency.duration_table` — with one engine per
+scheme.  Bernoulli completion is the two-row case, a per-unit spec gives
+per-op rows, multi-level VCAUs give one row per telescope level.
 
-* **Frontier DP (DIST).**  Process nodes in a topological order chosen
-  greedily to keep the *live frontier* — nodes whose finish time a
-  still-unprocessed successor needs — as narrow as possible.  The DP
-  state is the tuple of frontier finish times (packed into one integer),
-  conditioned exactly: each node convolves its Bernoulli/categorical
-  duration onto ``max`` of its predecessors' finish times, and nodes
-  whose last consumer has been processed are dropped from the state
-  (folding sinks into a running maximum).  The frontier width *is* the
-  correlation cut: independent branches never multiply states, only the
-  simultaneously-live correlated nodes do.  Weakly-connected components
-  are solved separately and joined with the max-of-independent-CDFs
-  product rule.
-* **Step convolution (CENT-SYNC).**  The TAUBM partitions operations
-  over time steps, so the per-step extension indicators are independent:
-  a step with ``k`` enumerated TAU ops costs ``1`` cycle with
-  probability ``p**k`` and ``2`` otherwise, and the latency PMF is the
-  convolution over steps (a Poisson-binomial shifted by the step count).
+* **Frontier DP (DIST, :func:`analyze_dist`).**  Process nodes in a
+  topological order chosen greedily to keep the *live frontier* — nodes
+  whose finish time a still-unprocessed successor needs — as narrow as
+  possible.  The DP state is the tuple of frontier finish times (packed
+  into one integer), conditioned exactly: each node convolves its
+  duration rows onto ``max`` of its predecessors' finish times, and
+  nodes whose last consumer has been processed are dropped from the
+  state (folding sinks into a running maximum).  The frontier width *is*
+  the correlation cut: independent branches never multiply states, only
+  the simultaneously-live correlated nodes do.  Weakly-connected
+  components are solved separately and joined with the
+  max-of-independent-CDFs product rule.
+* **Step convolution (CENT-SYNC, :func:`analyze_sync`).**  The TAUBM
+  partitions operations over time steps and a step runs until its
+  slowest TAU op is done, so each step costs the ``max`` of its ops'
+  independent durations (a CDF product) and the latency PMF is the
+  convolution over steps.
 
 Both methods reproduce the enumerator's PMF exactly wherever enumeration
 is feasible (pinned by property tests) and stay in the milliseconds far
@@ -36,7 +40,8 @@ instead of silently degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
+from functools import reduce
 from typing import TYPE_CHECKING
 
 from ..errors import ExactAnalysisError, SimulationError
@@ -64,10 +69,10 @@ class ExactLatencyAnalysis:
     """The exact PMF plus how (and how hard) it was to compute.
 
     ``cut_width`` is the widest correlated frontier the DP had to
-    condition on (for the step model: the largest enumerated TAU group
-    in one step), ``states`` the peak conditioned-state count, and
-    ``components`` the number of independently-solved weakly-connected
-    components.
+    condition on (for the step model: the most table ops in one step),
+    ``states`` the peak conditioned-state count, and ``components`` the
+    number of independently-solved weakly-connected components (for the
+    step model: the steps that can take more than one cycle).
     """
 
     distribution: LatencyDistribution
@@ -312,38 +317,7 @@ def graph_latency_pmf(
     return combined or {0: 1.0}, width, peak, len(plans)
 
 
-# -- duration specs from the evaluator's structure -----------------------
-
-
-def _check_p(p: "float | Mapping[str, float]") -> None:
-    if isinstance(p, Mapping):
-        for op, value in p.items():
-            if not 0.0 <= value <= 1.0:
-                raise SimulationError(
-                    f"P[{op}] must be in [0, 1], got {value}"
-                )
-        return
-    if not 0.0 <= p <= 1.0:
-        raise SimulationError(f"P must be in [0, 1], got {p}")
-
-
-def _p_of(p: "float | Mapping[str, float]", op: str) -> float:
-    """Per-op fast probability: scalar P or a per-op mapping.
-
-    Mappings come from
-    :meth:`~repro.resources.spec.CompletionSpec.op_probabilities` —
-    heterogeneous per-unit specs resolved against the binding.  A
-    missing entry is an error: the caller enumerated ``op`` as
-    telescopic, so its marginal must be defined.
-    """
-    if isinstance(p, Mapping):
-        try:
-            return p[op]
-        except KeyError:
-            raise SimulationError(
-                f"per-op probability mapping is missing TAU op {op!r}"
-            ) from None
-    return p
+# -- the two engines over one duration table -----------------------------
 
 
 def _normalize_rows(
@@ -362,84 +336,27 @@ def _normalize_rows(
     return tuple(sorted(merged.items()))
 
 
-def _bernoulli_specs(
-    evaluator: "DistLatencyEvaluator",
-    tau_ops: Sequence[str],
-    p: "float | Mapping[str, float]",
-) -> list[DurationSpec]:
-    names, _, fast_dur, slow_dur = evaluator.execution_structure()
-    enumerated = set(tau_ops)
-    specs: list[DurationSpec] = []
-    for i, name in enumerate(names):
-        fast, slow = fast_dur[i], slow_dur[i]
-        if name not in enumerated or fast == slow:
-            specs.append(((fast, 1.0),))
-            continue
-        p_op = _p_of(p, name)
-        if p_op == 1.0:
-            specs.append(((fast, 1.0),))
-        elif p_op == 0.0:
-            specs.append(((slow, 1.0),))
-        else:
-            specs.append(
-                _normalize_rows(((fast, p_op), (slow, 1.0 - p_op)), name)
-            )
-    return specs
-
-
-def _categorical_specs(
-    evaluator: "DistLatencyEvaluator", table: "DurationTable"
-) -> list[DurationSpec]:
-    names, _, fast_dur, _ = evaluator.execution_structure()
-    specs: list[DurationSpec] = []
-    for i, name in enumerate(names):
-        rows = table.get(name)
-        if rows is None:
-            specs.append(((fast_dur[i], 1.0),))
-        else:
-            specs.append(_normalize_rows(tuple(rows), name))
-    return specs
-
-
-# -- public entry points -------------------------------------------------
-
-
-def analyze_dist_latency(
-    evaluator: "DistLatencyEvaluator",
-    tau_ops: Sequence[str],
-    p: "float | Mapping[str, float]",
-    *,
-    scheme: str = "DIST",
-    clock_ns: float = 1.0,
-    cut_limit: int = DEFAULT_CUT_LIMIT,
-    state_limit: int = DEFAULT_STATE_LIMIT,
+def _analysis(
+    pmf: dict[int, float],
+    method: str,
+    scheme: str,
+    clock_ns: float,
+    cut_width: int,
+    states: int,
+    components: int,
 ) -> ExactLatencyAnalysis:
-    """Exact DIST latency PMF under independent Bernoulli fast outcomes.
-
-    ``p`` is the shared scalar probability or a per-op mapping (from a
-    heterogeneous per-unit completion spec).  Matches
-    ``exact_latency_distribution`` / ``exact_expected_latency`` over the
-    same evaluator for any feasible enumeration, without the ``2**k``
-    sweep.
-    """
-    _check_p(p)
-    specs = _bernoulli_specs(evaluator, tau_ops, p)
-    _, preds, _, _ = evaluator.execution_structure()
-    pmf, width, peak, parts = graph_latency_pmf(
-        specs, preds, cut_limit=cut_limit, state_limit=state_limit
-    )
     return ExactLatencyAnalysis(
         distribution=LatencyDistribution(
             scheme=scheme, clock_ns=clock_ns, pmf=tuple(sorted(pmf.items()))
         ),
-        method="frontier-dp",
-        cut_width=width,
-        states=peak,
-        components=parts,
+        method=method,
+        cut_width=cut_width,
+        states=states,
+        components=components,
     )
 
 
-def analyze_dist_categorical(
+def analyze_dist(
     evaluator: "DistLatencyEvaluator",
     table: "DurationTable",
     *,
@@ -448,20 +365,20 @@ def analyze_dist_categorical(
     cut_limit: int = DEFAULT_CUT_LIMIT,
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> ExactLatencyAnalysis:
-    """Exact DIST latency PMF over independent categorical durations."""
-    specs = _categorical_specs(evaluator, table)
-    _, preds, _, _ = evaluator.execution_structure()
+    """Exact DIST latency PMF over a table of independent op durations.
+
+    Operations the table does not name take their fast duration.
+    """
+    names, preds, fast_dur, _ = evaluator.execution_structure()
+    specs = [
+        _normalize_rows(table[name], name) if name in table else ((fast, 1.0),)
+        for name, fast in zip(names, fast_dur)
+    ]
     pmf, width, peak, parts = graph_latency_pmf(
         specs, preds, cut_limit=cut_limit, state_limit=state_limit
     )
-    return ExactLatencyAnalysis(
-        distribution=LatencyDistribution(
-            scheme=scheme, clock_ns=clock_ns, pmf=tuple(sorted(pmf.items()))
-        ),
-        method="frontier-dp",
-        cut_width=width,
-        states=peak,
-        components=parts,
+    return _analysis(
+        pmf, "frontier-dp", scheme, clock_ns, width, peak, parts
     )
 
 
@@ -474,89 +391,28 @@ def _convolve(a: dict[int, float], b: DurationSpec) -> dict[int, float]:
     return out
 
 
-def analyze_sync_latency(
-    taubm: "TaubmSchedule",
-    tau_ops: Sequence[str],
-    p: "float | Mapping[str, float]",
-    *,
-    scheme: str = "CENT-SYNC",
-    clock_ns: float = 1.0,
-) -> ExactLatencyAnalysis:
-    """Exact TAUBM latency PMF: a convolution of per-step extensions.
-
-    Each step contributes ``1`` cycle plus an extension cycle iff any of
-    its enumerated TAU ops is slow — probability ``1 - p**k`` for ``k``
-    enumerated ops (the product of the per-op probabilities when ``p``
-    is a heterogeneous mapping).  Steps partition the operations, so
-    the extensions are independent and the PMF is their convolution.
-    """
-    _check_p(p)
-    enumerated = set(tau_ops)
-    seen: set[str] = set()
-    pmf: dict[int, float] = {0: 1.0}
-    peak = 1
-    width = 0
-    steps_with_ext = 0
-    for step in taubm.steps:
-        overlap = set(step.tau_ops) & seen
-        if overlap:
-            raise ExactAnalysisError(
-                f"TAU ops {sorted(overlap)} appear in multiple TAUBM "
-                f"steps; per-step extensions are not independent"
-            )
-        seen.update(step.tau_ops)
-        step_ops = set(step.tau_ops) & enumerated
-        k = len(step_ops)
-        width = max(width, k)
-        if step.has_extension and k:
-            if isinstance(p, Mapping):
-                fast_all = 1.0
-                for op in sorted(step_ops):
-                    fast_all *= _p_of(p, op)
-            else:
-                # keep the scalar power form: byte-identical to the
-                # historical bare-float path
-                fast_all = p**k
-        else:
-            fast_all = 1.0
-        if fast_all >= 1.0:
-            spec: DurationSpec = ((1, 1.0),)
-        elif fast_all <= 0.0:
-            spec = ((2, 1.0),)
-            steps_with_ext += 1
-        else:
-            spec = ((1, fast_all), (2, 1.0 - fast_all))
-            steps_with_ext += 1
-        pmf = _convolve(pmf, spec)
-        peak = max(peak, len(pmf))
-    return ExactLatencyAnalysis(
-        distribution=LatencyDistribution(
-            scheme=scheme, clock_ns=clock_ns, pmf=tuple(sorted(pmf.items()))
-        ),
-        method="step-convolution",
-        cut_width=width,
-        states=peak,
-        components=steps_with_ext,
-    )
-
-
-def analyze_sync_categorical(
+def analyze_sync(
     taubm: "TaubmSchedule",
     table: "DurationTable",
     *,
     scheme: str = "CENT-SYNC",
     clock_ns: float = 1.0,
 ) -> ExactLatencyAnalysis:
-    """Exact TAUBM latency PMF over independent categorical durations.
+    """Exact TAUBM latency PMF over a table of independent op durations.
 
-    Each step costs ``max`` of its TAU ops' durations (``1`` when it has
-    none); the per-op maxima use the CDF product, the steps convolve.
+    A step runs until its slowest TAU op is done, so it costs the
+    ``max`` of its ops' durations (CDF product) and one cycle when the
+    table names none of them; the steps partition the operations, so
+    the latency PMF is the convolution of the step costs.  This is the
+    step model ``TaubmSchedule.cycles_for_durations`` evaluates and the
+    emitted CENT-SYNC FSM runs.  Ops absent from the table are fast:
+    they finish within their step's first cycle.
     """
     seen: set[str] = set()
     pmf: dict[int, float] = {0: 1.0}
     peak = 1
     width = 0
-    steps_with_ext = 0
+    extending = 0
     for step in taubm.steps:
         overlap = set(step.tau_ops) & seen
         if overlap:
@@ -565,33 +421,19 @@ def analyze_sync_categorical(
                 f"steps; per-step costs are not independent"
             )
         seen.update(step.tau_ops)
-        step_pmf: dict[int, float] | None = None
-        for op in sorted(step.tau_ops):
-            rows = table.get(op)
-            if rows is None:
-                raise ExactAnalysisError(
-                    f"duration table is missing TAU op {op!r} required "
-                    f"by TAUBM step {step.index}"
-                )
-            op_pmf = dict(_normalize_rows(tuple(rows), op))
-            step_pmf = (
-                op_pmf
-                if step_pmf is None
-                else _max_of_independent(step_pmf, op_pmf)
-            )
-        if step_pmf is None:
-            step_pmf = {1: 1.0}
-        else:
-            width = max(width, len(step.tau_ops))
-            steps_with_ext += 1
+        op_pmfs = [
+            dict(_normalize_rows(table[op], op))
+            for op in sorted(step.tau_ops)
+            if op in table
+        ]
+        step_pmf = (
+            reduce(_max_of_independent, op_pmfs) if op_pmfs else {1: 1.0}
+        )
+        width = max(width, len(op_pmfs))
+        if max(step_pmf) > 1:
+            extending += 1
         pmf = _convolve(pmf, tuple(sorted(step_pmf.items())))
         peak = max(peak, len(pmf))
-    return ExactLatencyAnalysis(
-        distribution=LatencyDistribution(
-            scheme=scheme, clock_ns=clock_ns, pmf=tuple(sorted(pmf.items()))
-        ),
-        method="step-convolution",
-        cut_width=width,
-        states=peak,
-        components=steps_with_ext,
+    return _analysis(
+        pmf, "step-convolution", scheme, clock_ns, width, peak, extending
     )

@@ -4,17 +4,19 @@ Two closed execution models (derived in DESIGN.md §2):
 
 * **Distributed** — an operation starts the cycle after all of its data
   predecessors, schedule-arc predecessors and unit predecessor finished,
-  so for a fixed fast/slow assignment the latency is the node-weighted
-  longest path of the execution graph (weights 1 or 2 cycles).
-* **Synchronized TAUBM** — each time step takes one cycle, plus one
-  extension cycle when any of its TAU operations is slow.
+  so for a fixed duration assignment the latency is the node-weighted
+  longest path of the execution graph.
+* **Synchronized TAUBM** — each time step runs until its slowest TAU
+  operation is done: one cycle, or the slowest op's cycle count.
 
-Expectations over i.i.d. Bernoulli(P) fast/slow outcomes are computed
-*exactly* by enumerating the ``2**k`` assignments of the ``k`` telescopic
-operations (weighted by the binomial probabilities) when ``k`` is small
-enough, and by seeded Monte-Carlo sampling otherwise.  The cycle-accurate
-simulator must agree with both models assignment-for-assignment; tests
-enforce it.
+Exact answers come from :mod:`repro.analysis.exact_engine`, which reads
+one :data:`DurationTable` built by :func:`duration_table` from any
+i.i.d. completion spec or multi-level probabilities.  Opaque latency
+callables are enumerated over all ``2**k`` fast/slow assignments
+(:func:`~repro.analysis.distribution.exact_latency_distribution`), and
+seeded Monte-Carlo sampling covers what neither can answer.  The
+cycle-accurate simulator must agree with both models
+assignment-for-assignment; tests enforce it.
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from ..binding.binder import BoundDataflowGraph
 from ..core.analysis import schedule_length
 from ..errors import ExactAnalysisError, SimulationError
 from ..scheduling.schedule import TaubmSchedule
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from ..resources.spec import CompletionSpec
 
 #: Default limit on exhaustive enumeration (2**20 assignments).
 EXACT_ENUMERATION_LIMIT = 20
@@ -122,13 +128,15 @@ class DistLatencyEvaluator:
 
 
 class SyncLatencyEvaluator:
-    """Compiled CENT-SYNC (TAUBM) latency evaluator.
+    """Compiled CENT-SYNC (TAUBM) latency evaluator, two-cycle steps.
 
     The callable mirrors :func:`sync_latency_cycles` — one cycle per
     step plus an extension when any of the step's TAU ops is slow, with
-    unmentioned ops defaulting to fast — but carries the schedule
-    structure so the exact engine can use the closed-form per-step model
-    instead of enumeration.
+    unmentioned ops defaulting to fast — but carries the schedule so the
+    exact engine can convolve steps instead of enumerating.  A slow op
+    costs one extension cycle here whatever its level's cycle count;
+    the product paths run :func:`~repro.analysis.exact_engine.analyze_sync`
+    over the bound graph's :func:`duration_table` instead.
     """
 
     def __init__(self, taubm: TaubmSchedule) -> None:
@@ -146,10 +154,6 @@ class SyncLatencyEvaluator:
             ):
                 total += 1
         return total
-
-    def for_durations(self, durations: Mapping[str, int]) -> int:
-        """Latency for explicit per-op cycle counts (multi-level VCAUs)."""
-        return self.taubm.cycles_for_durations(durations)
 
 
 def dist_latency_cycles(
@@ -190,42 +194,29 @@ def enumerate_assignments(
     return itertools.product((False, True), repeat=len(tau_ops))
 
 
-def _op_p(p: "float | Mapping[str, float]", op: str) -> float:
-    if isinstance(p, Mapping):
-        try:
-            return p[op]
-        except KeyError:
-            raise SimulationError(
-                f"per-op probability mapping is missing TAU op {op!r}"
-            ) from None
-    return p
+def _fast_probabilities(
+    tau_ops: Sequence[str], p: "float | Mapping[str, float]"
+) -> list[float]:
+    """Each enumerated op's fast probability, checked to lie in [0, 1].
 
-
-def _check_p_values(p: "float | Mapping[str, float]") -> None:
-    values = p.values() if isinstance(p, Mapping) else (p,)
-    for value in values:
+    ``p`` is one shared probability or a per-op mapping (the resolved
+    marginals of a ``per-unit`` completion spec), which must name every
+    op in ``tau_ops``.
+    """
+    probs = []
+    for op in tau_ops:
+        if isinstance(p, Mapping):
+            if op not in p:
+                raise SimulationError(
+                    f"per-op probability mapping is missing TAU op {op!r}"
+                )
+            value = p[op]
+        else:
+            value = p
         if not 0.0 <= value <= 1.0:
             raise SimulationError(f"P must be in [0, 1], got {value}")
-
-
-def _engine_analysis(
-    latency_fn: LatencyFn, tau_ops: Sequence[str], p: "float | Mapping[str, float]"
-) -> "object | None":
-    """Exact-engine analysis for structured evaluators, else ``None``.
-
-    Compiled evaluators expose the graph/schedule structure, so the
-    exact engine can propagate distributions instead of enumerating
-    ``2**k`` assignments; opaque callables keep the legacy enumerator.
-    Raises :class:`~repro.errors.ExactAnalysisError` when the structure
-    is too correlated for exact propagation.
-    """
-    from .exact_engine import analyze_dist_latency, analyze_sync_latency
-
-    if isinstance(latency_fn, DistLatencyEvaluator):
-        return analyze_dist_latency(latency_fn, tau_ops, p)
-    if isinstance(latency_fn, SyncLatencyEvaluator):
-        return analyze_sync_latency(latency_fn.taubm, tau_ops, p)
-    return None
+        probs.append(value)
+    return probs
 
 
 def exact_expected_latency(
@@ -234,136 +225,67 @@ def exact_expected_latency(
     p: "float | Mapping[str, float]",
     limit: int = EXACT_ENUMERATION_LIMIT,
 ) -> float:
-    """Exact expectation: distribution propagation, else enumeration.
+    """Exact expectation: the mean of :func:`exact_latency_distribution`.
 
-    ``p`` is the shared scalar probability or a per-op mapping (a
-    heterogeneous per-unit spec resolved through
-    :meth:`~repro.resources.spec.CompletionSpec.op_probabilities`).
     Structured evaluators (:class:`DistLatencyEvaluator`,
-    :class:`SyncLatencyEvaluator`) dispatch to the exact engine and are
-    feasible at any ``k``; opaque callables fall back to exhaustive
-    ``2**k`` enumeration, bounded by ``limit``.
+    :class:`SyncLatencyEvaluator`) run the exact engine and are feasible
+    at any ``k``; opaque callables are enumerated, bounded by ``limit``.
     """
-    try:
-        analysis = _engine_analysis(latency_fn, tau_ops, p)
-    except ExactAnalysisError:
-        if len(tau_ops) > limit:
-            raise
-        analysis = None  # cut too wide but enumeration still feasible
-    if analysis is not None:
-        return analysis.expectation
-    if len(tau_ops) > limit:
-        raise SimulationError(
-            f"{len(tau_ops)} telescopic ops exceed the exact enumeration "
-            f"limit {limit}; use monte_carlo_expected_latency"
-        )
-    _check_p_values(p)
-    total = 0.0
-    for values in enumerate_assignments(tau_ops):
-        fast = dict(zip(tau_ops, values))
-        if isinstance(p, Mapping):
-            weight = 1.0
-            for op, is_fast in zip(tau_ops, values):
-                p_op = _op_p(p, op)
-                weight *= p_op if is_fast else 1.0 - p_op
-        else:
-            # keep the power form: byte-identical to the legacy scalar path
-            fast_count = sum(values)
-            weight = (p ** fast_count) * (
-                (1.0 - p) ** (len(tau_ops) - fast_count)
-            )
-        if weight == 0.0:
-            continue
-        total += weight * latency_fn(fast)
-    return total
+    from .distribution import exact_latency_distribution
+
+    return exact_latency_distribution(
+        "expected", latency_fn, tau_ops, p, 1.0, limit
+    ).mean()
 
 
-#: A categorical duration table: op -> ((cycles, probability), ...).
+#: A duration table: TAU op -> ((cycles, probability), ...).
 DurationTable = Mapping[str, Sequence[tuple[int, float]]]
 
 
 def duration_table(
-    bound: BoundDataflowGraph, level_probabilities: Sequence[float]
+    bound: BoundDataflowGraph,
+    completion: (
+        "float | str | CompletionSpec | tuple[float, ...] | list[float]"
+    ),
 ) -> dict[str, tuple[tuple[int, float], ...]]:
-    """Per-op (cycles, probability) rows for i.i.d. level outcomes.
+    """Per-TAU-op ``(cycles, probability)`` rows for the exact engines.
 
-    Telescope levels that quantize to the same cycle count at the system
-    clock are merged (their probabilities add).
+    ``completion`` is an i.i.d. completion spec — a bare fast
+    probability, a spec string or a
+    :class:`~repro.resources.spec.CompletionSpec` — which gives each op
+    its fastest and slowest level at the op's marginal fast probability
+    (Bernoulli is the two-row case, ``per-unit`` specs vary it per op),
+    or a tuple or list of per-level probabilities for multi-level VCAUs,
+    which gives one row per telescope level.  Levels that quantize to the
+    same cycle count at the system clock merge (their probabilities
+    add).  Temporally correlated specs have no per-execution marginal
+    and raise :class:`~repro.errors.ExactAnalysisError` with
+    ``reason="correlated"``.
     """
+    from ..resources.spec import as_completion_spec
+
+    durations = bound.duration_table
+    rows: dict[str, Iterable[tuple[int, float]]] = {}
+    if isinstance(completion, (tuple, list)):
+        for op in bound.telescopic_ops():
+            if len(completion) != len(durations[op]):
+                raise SimulationError(
+                    f"{len(completion)} level probabilities but unit "
+                    f"{bound.binding[op]!r} has {len(durations[op])} levels"
+                )
+            rows[op] = zip(durations[op], completion)
+    else:
+        spec = as_completion_spec(completion)
+        for op in bound.telescopic_ops():
+            q = spec.probability_for(bound.unit_of(op))
+            rows[op] = ((durations[op][0], q), (durations[op][-1], 1.0 - q))
     table: dict[str, tuple[tuple[int, float], ...]] = {}
-    for op in bound.telescopic_ops():
-        unit = bound.unit_of(op)
-        if len(level_probabilities) != unit.num_levels:
-            raise SimulationError(
-                f"{len(level_probabilities)} level probabilities but unit "
-                f"{unit.name!r} has {unit.num_levels} levels"
-            )
+    for op, op_rows in rows.items():
         merged: dict[int, float] = {}
-        for level, p in enumerate(level_probabilities):
-            cycles = bound.duration_for_level(op, level)
-            merged[cycles] = merged.get(cycles, 0.0) + p
+        for cycles, prob in op_rows:
+            merged[cycles] = merged.get(cycles, 0.0) + prob
         table[op] = tuple(sorted(merged.items()))
     return table
-
-
-def exact_expected_latency_categorical(
-    latency_fn: Callable[[Mapping[str, int]], int],
-    table: DurationTable,
-    limit_assignments: int = 2_000_000,
-) -> float:
-    """Exact expectation over independent categorical durations.
-
-    ``latency_fn`` maps an explicit duration assignment to cycles (use
-    :meth:`DistLatencyEvaluator.for_durations` or
-    :meth:`TaubmSchedule.cycles_for_durations`).  Bound methods of the
-    structured evaluators dispatch to the exact engine's distribution
-    propagation; other callables enumerate the duration cross-product.
-    """
-    analysis = None
-    try:
-        owner = getattr(latency_fn, "__self__", None)
-        func = getattr(latency_fn, "__func__", None)
-        if isinstance(owner, DistLatencyEvaluator) and (
-            func is DistLatencyEvaluator.for_durations
-        ):
-            from .exact_engine import analyze_dist_categorical
-
-            analysis = analyze_dist_categorical(owner, table)
-        elif isinstance(owner, TaubmSchedule) and (
-            func is TaubmSchedule.cycles_for_durations
-        ):
-            from .exact_engine import analyze_sync_categorical
-
-            analysis = analyze_sync_categorical(owner, table)
-        elif isinstance(owner, SyncLatencyEvaluator) and (
-            func is SyncLatencyEvaluator.for_durations
-        ):
-            from .exact_engine import analyze_sync_categorical
-
-            analysis = analyze_sync_categorical(owner.taubm, table)
-    except ExactAnalysisError:
-        analysis = None  # exact enumeration below is still exact
-    if analysis is not None:
-        return analysis.expectation
-    ops = list(table)
-    combos = 1
-    for rows in table.values():
-        combos *= len(rows)
-    if combos > limit_assignments:
-        raise SimulationError(
-            f"{combos} duration assignments exceed the enumeration limit"
-        )
-    total = 0.0
-    for choice in itertools.product(*(table[op] for op in ops)):
-        weight = 1.0
-        durations: dict[str, int] = {}
-        for op, (cycles, p) in zip(ops, choice):
-            weight *= p
-            durations[op] = cycles
-        if weight == 0.0:
-            continue
-        total += weight * latency_fn(durations)
-    return total
 
 
 def monte_carlo_expected_latency(
@@ -374,10 +296,11 @@ def monte_carlo_expected_latency(
     seed: int = 0,
 ) -> float:
     """Seeded Monte-Carlo estimate of the expected latency."""
+    probs = _fast_probabilities(tau_ops, p)
     rng = random.Random(seed)
     total = 0
     for _ in range(trials):
-        fast = {op: rng.random() < _op_p(p, op) for op in tau_ops}
+        fast = {op: rng.random() < q for op, q in zip(tau_ops, probs)}
         total += latency_fn(fast)
     return total / trials
 
@@ -517,21 +440,30 @@ def compare_latencies(
 ) -> LatencyComparison:
     """The full Table-2 comparison for one benchmark/allocation.
 
-    ``fixed_design_ns`` is the conventional all-fixed-delay design: the
-    same time-step schedule clocked at the original (worst-delay) period —
-    the baseline a telescopic design must beat at all.
+    CENT-SYNC's best, worst and expected latencies take each TAU op's
+    cycle count from the bound graph, so a slow level spanning more than
+    two cycles extends its step by all of them.  ``fixed_design_ns`` is
+    the conventional all-fixed-delay design: the same time-step schedule
+    clocked at the original (worst-delay) period — the baseline a
+    telescopic design must beat at all.
     """
+    from .exact_engine import analyze_sync
+
     tau_ops = bound.telescopic_ops()
     clock = bound.allocation.clock_period_ns()
-    sync = scheme_latency(
-        "CENT-SYNC",
-        SyncLatencyEvaluator(taubm),
-        tau_ops,
-        clock,
-        ps,
-        exact_limit,
-        trials,
-        seed,
+    sync = SchemeLatency(
+        scheme="CENT-SYNC",
+        clock_ns=clock,
+        best_cycles=taubm.cycles_for_durations(
+            {op: bound.duration_cycles(op, True) for op in tau_ops}
+        ),
+        worst_cycles=taubm.cycles_for_durations(
+            {op: bound.duration_cycles(op, False) for op in tau_ops}
+        ),
+        expected_cycles={
+            p: analyze_sync(taubm, duration_table(bound, p)).expectation
+            for p in ps
+        },
     )
     dist = scheme_latency(
         "DIST",

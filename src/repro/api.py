@@ -127,11 +127,12 @@ class SynthesisResult:
 
         Runs the polynomial-time exact engine
         (:mod:`repro.analysis.exact_engine`) instead of ``2**k``
-        enumeration: per-node Bernoulli finish-time convolution for the
-        distributed scheme, per-step extension convolution for the
-        synchronized baseline.  ``p`` accepts i.i.d. completion specs
-        (Bernoulli or heterogeneous per-unit); temporally correlated
-        specs (``markov:...``) raise
+        enumeration over the bound graph's
+        :func:`~repro.analysis.latency.duration_table`: per-node
+        finish-time convolution for the distributed scheme, per-step
+        slowest-op convolution for the synchronized baseline.  ``p``
+        accepts i.i.d. completion specs (Bernoulli or heterogeneous
+        per-unit); temporally correlated specs (``markov:...``) raise
         :class:`~repro.errors.ExactAnalysisError` with
         ``reason="correlated"`` — use the Monte-Carlo engines for
         those.  Returns an
@@ -141,35 +142,17 @@ class SynthesisResult:
         ``"cent-sync"`` (the unsynchronized product FSM has no
         analytical model).
         """
-        from .analysis.exact_engine import (
-            analyze_dist_latency,
-            analyze_sync_latency,
-        )
-        from .analysis.latency import DistLatencyEvaluator
-        from .resources.spec import BernoulliSpec, as_completion_spec
+        from .analysis.exact_engine import analyze_dist, analyze_sync
+        from .analysis.latency import DistLatencyEvaluator, duration_table
 
-        spec = as_completion_spec(p)
+        table = duration_table(self.bound, p)
         clock_ns = self.allocation.clock_period_ns()
-        tau_ops = self.bound.telescopic_ops()
-        # plain Bernoulli keeps the scalar fast path (byte-identical to
-        # the legacy float argument); anything else resolves per-op
-        # marginals against the binding — correlated specs raise here
-        p_value: "float | dict[str, float]" = (
-            spec.p
-            if isinstance(spec, BernoulliSpec)
-            else spec.op_probabilities(self.bound, tau_ops)
-        )
         if style == "dist":
-            return analyze_dist_latency(
-                DistLatencyEvaluator(self.bound),
-                tau_ops,
-                p_value,
-                clock_ns=clock_ns,
+            return analyze_dist(
+                DistLatencyEvaluator(self.bound), table, clock_ns=clock_ns
             )
         if style == "cent-sync":
-            return analyze_sync_latency(
-                self.taubm, tau_ops, p_value, clock_ns=clock_ns
-            )
+            return analyze_sync(self.taubm, table, clock_ns=clock_ns)
         raise SimulationError(
             f"unknown analytical style {style!r}; choose 'dist' or "
             f"'cent-sync'"

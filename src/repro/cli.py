@@ -680,19 +680,6 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _warn_quarantined_shards(checkpoint_dir: str) -> None:
-    """Summarize quarantined shard files before a resume replays."""
-    from .runtime.journal import CheckpointJournal
-
-    corrupt = len(CheckpointJournal(checkpoint_dir).corrupt_files())
-    if corrupt:
-        print(
-            f"note: {corrupt} quarantined shard file(s) in "
-            f"{checkpoint_dir}; they will be recomputed",
-            file=sys.stderr,
-        )
-
-
 def _cmd_resume(args) -> int:
     import json
     import os
@@ -721,7 +708,6 @@ def _cmd_resume(args) -> int:
         )
         return 1
     print("resuming: repro " + " ".join(argv), file=sys.stderr)
-    _warn_quarantined_shards(args.checkpoint)
     return main(argv)
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from ..analysis.exact_engine import analyze_dist, analyze_sync
 from ..analysis.latency import (
     DistLatencyEvaluator,
-    SyncLatencyEvaluator,
+    duration_table,
     expected_latency,
 )
 from ..analysis.tables import render_series, render_table
@@ -90,12 +91,12 @@ def run_psweep(
     tau_ops = res.bound.telescopic_ops()
     clock = res.allocation.clock_period_ns()
     dist_eval = DistLatencyEvaluator(res.bound)
-    sync_eval = SyncLatencyEvaluator(res.taubm)
     dist_ns = []
     sync_ns = []
     for p in ps:
         dist_ns.append(expected_latency(dist_eval, tau_ops, p) * clock)
-        sync_ns.append(expected_latency(sync_eval, tau_ops, p) * clock)
+        sync = analyze_sync(res.taubm, duration_table(res.bound, p))
+        sync_ns.append(sync.expectation * clock)
     fixed = res.schedule.num_steps * res.allocation.original_clock_period_ns()
     return PSweepResult(
         benchmark=benchmark_name,
@@ -407,19 +408,14 @@ def run_multilevel(
 ) -> MultiLevelResult:
     """Synthesize a benchmark on 3-level VCAUs and compare schemes.
 
-    Exact expectations come from categorical duration enumeration; a
-    Monte-Carlo run of the cycle-accurate simulator with
+    Exact expectations come from the exact engines over the level
+    duration table; a Monte-Carlo run of the cycle-accurate simulator with
     :class:`~repro.resources.completion.CategoricalCompletion` cross-checks
     the distributed number.  ``workers`` parallelizes the Monte-Carlo
     trials (the result is identical for any worker count);
     ``checkpoint`` journals completed trials for byte-identical resume,
     ``policy``/``report`` supervise the pool.
     """
-    from ..analysis.latency import (
-        DistLatencyEvaluator,
-        duration_table,
-        exact_expected_latency_categorical,
-    )
     from ..core.ops import ResourceClass
 
     entry = benchmark(benchmark_name)
@@ -438,12 +434,8 @@ def run_multilevel(
     result = synthesize(dfg, allocation)
     table = duration_table(result.bound, tuple(level_probabilities))
     evaluator = DistLatencyEvaluator(result.bound)
-    dist_expected = exact_expected_latency_categorical(
-        evaluator.for_durations, table
-    )
-    sync_expected = exact_expected_latency_categorical(
-        result.taubm.cycles_for_durations, table
-    )
+    dist_expected = analyze_dist(evaluator, table).expectation
+    sync_expected = analyze_sync(result.taubm, table).expectation
     from functools import partial
 
     from ..runtime.journal import checkpointed_map

@@ -119,8 +119,8 @@ def _bench_row(
     can be journaled by :func:`~repro.runtime.journal.checkpointed_map`
     like any other shard.
     """
-    from ..analysis.exact_engine import analyze_dist_latency
-    from ..analysis.latency import DistLatencyEvaluator
+    from ..analysis.exact_engine import analyze_dist
+    from ..analysis.latency import DistLatencyEvaluator, duration_table
     from ..api import synthesize
     from ..benchmarks.registry import benchmark
     from ..perf.cache import SynthesisCache
@@ -175,21 +175,13 @@ def _bench_row(
             "p95_cycles": round(serial_stats.p95, 6),
         },
     }
-    tau_ops = result.bound.telescopic_ops()
-    evaluator = DistLatencyEvaluator(result.bound)
     if not spec.correlated:
-        # plain Bernoulli keeps the scalar fast path (byte-identical to
-        # the legacy float argument); per-unit resolves op marginals;
-        # correlated specs have no i.i.d. analytical model, so the
-        # exact section is omitted from the row entirely
-        p_value: "float | dict[str, float]" = (
-            spec.p
-            if isinstance(spec, BernoulliSpec)
-            else spec.op_probabilities(result.bound, tau_ops)
-        )
+        # correlated specs have no i.i.d. analytical model, so the exact
+        # section is omitted from the row entirely
+        evaluator = DistLatencyEvaluator(result.bound)
+        table = duration_table(result.bound, spec)
         analysis_s, analysis = _time_call(
-            lambda: analyze_dist_latency(evaluator, tau_ops, p_value),
-            repeats,
+            lambda: analyze_dist(evaluator, table), repeats
         )
         row["exact_engine"] = {
             "seconds": _round(analysis_s),

@@ -32,6 +32,7 @@ ProcessPoolExecutor` while keeping three guarantees:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -133,8 +134,6 @@ def default_chunksize(num_items: int, workers: int) -> int:
 
 def _callable_name(fn: object) -> str:
     """Compact display name for a work function (partial-aware)."""
-    import functools
-
     if isinstance(fn, functools.partial):
         return f"functools.partial({_callable_name(fn.func)})"
     return (
@@ -173,6 +172,22 @@ def _serial_map(
             on_result(index, value)
         out.append(value)
     return out
+
+
+class _TrialFailed(Exception):
+    """A trial's own exception, wrapped in the worker that raised it.
+
+    Payloads or results that cannot cross the process boundary surface
+    as the same exception types a trial may raise itself; the wrapper
+    tells the pool loop which one it got.
+    """
+
+
+def _run_trial(fn: Callable[[_T], _R], item: _T) -> _R:
+    try:
+        return fn(item)
+    except Exception as error:
+        raise _TrialFailed(error) from error
 
 
 def parallel_map(
@@ -278,18 +293,27 @@ def parallel_map(
             on_result=on_result,
         )
     results: list[_R] = []
+    trial = functools.partial(_run_trial, fn)
     try:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            # consumed lazily, so on_result sees each result as it
-            # arrives and a failure mid-pool keeps what came before it
-            for value in pool.map(fn, work, chunksize=chunksize):
-                if on_result is not None:
-                    on_result(len(results) + offset, value)
-                results.append(value)
+            try:
+                # consumed lazily, so on_result sees each result as it
+                # arrives and a failure mid-pool keeps what came before
+                for value in pool.map(trial, work, chunksize=chunksize):
+                    if on_result is not None:
+                        on_result(len(results) + offset, value)
+                    results.append(value)
+            except _TrialFailed:
+                pool.shutdown(cancel_futures=True)
+                raise
+    except _TrialFailed as failed:
+        # the trial's own exception, with the worker traceback as cause
+        raise failed.args[0] from failed.__cause__
     except (pickle.PicklingError, AttributeError, TypeError):
         # A payload that *claimed* picklability can still fail inside
-        # the pool (e.g. results that do not unpickle); fall back rather
-        # than lose the run, for the items not yet returned.
+        # the pool (a later item, or a result that does not pickle);
+        # fall back rather than lose the run, for the items not yet
+        # returned.
         _warn_serial_fallback(fn, work[0], report)
         done = len(results)
         return prefix + results + _serial_map(

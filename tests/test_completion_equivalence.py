@@ -14,13 +14,11 @@ Pins the two load-bearing equivalences of the completion-spec refactor:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.exact_engine import (
-    analyze_dist_latency,
-    analyze_sync_latency,
-)
+from repro.analysis.exact_engine import analyze_dist, analyze_sync
 from repro.analysis.latency import (
     DistLatencyEvaluator,
     SyncLatencyEvaluator,
+    duration_table,
     enumerate_assignments,
 )
 from repro.resources.spec import MarkovSpec, PerUnitSpec
@@ -103,7 +101,7 @@ def test_exact_dist_matches_enumeration_per_unit(
     spec = PerUnitSpec({"mul": p_mul, "*": p_rest})
     p_by_op = spec.op_probabilities(bound, tau_ops)
     evaluator = DistLatencyEvaluator(bound)
-    analysis = analyze_dist_latency(evaluator, tau_ops, p_by_op)
+    analysis = analyze_dist(evaluator, duration_table(bound, spec))
     expected = _enumerated_pmf(evaluator, tau_ops, p_by_op)
     got = {c: p for c, p in analysis.distribution.pmf}
     assert set(got) == set(expected)
@@ -121,7 +119,7 @@ def test_exact_sync_matches_enumeration_per_unit(
     spec = PerUnitSpec({"mul": p_mul, "*": p_rest})
     p_by_op = spec.op_probabilities(bound, tau_ops)
     evaluator = SyncLatencyEvaluator(fig2_result.taubm)
-    analysis = analyze_sync_latency(fig2_result.taubm, tau_ops, p_by_op)
+    analysis = analyze_sync(fig2_result.taubm, duration_table(bound, spec))
     expected = _enumerated_pmf(evaluator, tau_ops, p_by_op)
     got = {c: p for c, p in analysis.distribution.pmf}
     assert set(got) == set(expected)

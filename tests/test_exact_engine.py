@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.distribution import exact_latency_distribution
 from repro.analysis.exact_engine import (
-    analyze_dist_latency,
-    analyze_sync_latency,
+    analyze_dist,
+    analyze_sync,
     graph_latency_pmf,
 )
 from repro.analysis.latency import (
     DistLatencyEvaluator,
     SyncLatencyEvaluator,
+    duration_table,
     exact_expected_latency,
     expected_latency,
 )
@@ -62,7 +63,7 @@ def test_dist_engine_matches_enumeration(dfg, spec, p):
     evaluator = DistLatencyEvaluator(result.bound)
     tau_ops = result.bound.telescopic_ops()
     assert len(tau_ops) <= 12  # the enumerator stays feasible
-    analysis = analyze_dist_latency(evaluator, tau_ops, p)
+    analysis = analyze_dist(evaluator, duration_table(result.bound, p))
     _assert_pmf_equal(
         analysis.distribution.pmf,
         _enumerated_pmf("DIST", evaluator, tau_ops, p, 1.0),
@@ -76,7 +77,7 @@ def test_sync_engine_matches_enumeration(dfg, spec, p):
     result = synthesize(dfg, spec)
     evaluator = SyncLatencyEvaluator(result.taubm)
     tau_ops = result.bound.telescopic_ops()
-    analysis = analyze_sync_latency(result.taubm, tau_ops, p)
+    analysis = analyze_sync(result.taubm, duration_table(result.bound, p))
     _assert_pmf_equal(
         analysis.distribution.pmf,
         _enumerated_pmf("CENT-SYNC", evaluator, tau_ops, p, 1.0),
@@ -101,7 +102,9 @@ class TestEngineDiagnostics:
     def test_reports_method_and_cut_width(self, fig3_result):
         evaluator = DistLatencyEvaluator(fig3_result.bound)
         tau_ops = fig3_result.bound.telescopic_ops()
-        analysis = analyze_dist_latency(evaluator, tau_ops, 0.7)
+        analysis = analyze_dist(
+            evaluator, duration_table(fig3_result.bound, 0.7)
+        )
         assert analysis.method == "frontier-dp"
         assert analysis.cut_width >= 1
         assert analysis.states >= 1
@@ -110,7 +113,9 @@ class TestEngineDiagnostics:
     def test_quantile_and_moments_delegate(self, fig3_result):
         evaluator = DistLatencyEvaluator(fig3_result.bound)
         tau_ops = fig3_result.bound.telescopic_ops()
-        analysis = analyze_dist_latency(evaluator, tau_ops, 0.7)
+        analysis = analyze_dist(
+            evaluator, duration_table(fig3_result.bound, 0.7)
+        )
         dist = analysis.distribution
         assert analysis.expectation == pytest.approx(dist.mean())
         assert analysis.variance == pytest.approx(dist.variance())
@@ -119,9 +124,7 @@ class TestEngineDiagnostics:
     def test_p_validated(self, fig3_result):
         evaluator = DistLatencyEvaluator(fig3_result.bound)
         with pytest.raises(SimulationError, match="P must"):
-            analyze_dist_latency(
-                evaluator, fig3_result.bound.telescopic_ops(), 1.5
-            )
+            analyze_dist(evaluator, duration_table(fig3_result.bound, 1.5))
 
 
 class TestCutLimit:
@@ -130,7 +133,11 @@ class TestCutLimit:
         evaluator = DistLatencyEvaluator(fig3_result.bound)
         tau_ops = fig3_result.bound.telescopic_ops()
         with pytest.raises(ExactAnalysisError) as info:
-            analyze_dist_latency(evaluator, tau_ops, 0.7, cut_limit=0)
+            analyze_dist(
+                evaluator,
+                duration_table(fig3_result.bound, 0.7),
+                cut_limit=0,
+            )
         assert info.value.cut_width is not None
         assert info.value.cut_width > 0
         assert info.value.limit == 0

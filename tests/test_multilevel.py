@@ -4,11 +4,8 @@ import itertools
 
 import pytest
 
-from repro.analysis.latency import (
-    DistLatencyEvaluator,
-    duration_table,
-    exact_expected_latency_categorical,
-)
+from repro.analysis.exact_engine import analyze_dist
+from repro.analysis.latency import DistLatencyEvaluator, duration_table
 from repro.api import synthesize
 from repro.benchmarks import fir3, paper_fig3_dfg
 from repro.core.ops import ResourceClass
@@ -215,23 +212,10 @@ class TestDurationTable:
         all_fast = duration_table(ml_result.bound, (1.0, 0.0, 0.0))
         all_slow = duration_table(ml_result.bound, (0.0, 0.0, 1.0))
         mixed = duration_table(ml_result.bound, (0.5, 0.3, 0.2))
-        best = exact_expected_latency_categorical(
-            evaluator.for_durations, all_fast
-        )
-        worst = exact_expected_latency_categorical(
-            evaluator.for_durations, all_slow
-        )
-        middle = exact_expected_latency_categorical(
-            evaluator.for_durations, mixed
-        )
+        best = analyze_dist(evaluator, all_fast).expectation
+        worst = analyze_dist(evaluator, all_slow).expectation
+        middle = analyze_dist(evaluator, mixed).expectation
         assert best <= middle <= worst
-
-    def test_enumeration_limit(self, ml_result):
-        table = duration_table(ml_result.bound, (0.5, 0.3, 0.2))
-        with pytest.raises(SimulationError, match="enumeration limit"):
-            exact_expected_latency_categorical(
-                lambda d: 1, table, limit_assignments=2
-            )
 
 
 def test_product_fsm_multilevel(ml_result):

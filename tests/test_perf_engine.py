@@ -30,6 +30,32 @@ from repro.sim.simulator import simulate
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+#: items a trial function ran in *this* process (pool workers append to
+#: their own copy, so a parent-side entry means an in-process rerun)
+IN_PROCESS_CALLS: list = []
+
+
+class _Unpicklable:
+    """Crosses no process boundary: pickling it raises ``TypeError``."""
+
+    def __reduce__(self):
+        raise TypeError("cannot pickle _Unpicklable")
+
+
+def _fails_on_twelve(item):
+    IN_PROCESS_CALLS.append(item)
+    if item == 12:
+        raise TypeError(f"trial {item} failed on its own")
+    return item * item
+
+
+def _unpicklable_result(item):
+    return item, _Unpicklable()
+
+
+def _describe(item):
+    return item if isinstance(item, int) else "unpicklable"
+
 
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):
@@ -125,6 +151,48 @@ class TestParallelMap:
 
     def test_serial_default(self):
         assert parallel_map(str, [1, 2]) == ["1", "2"]
+
+    def test_trial_exception_propagates_as_itself(self, recwarn):
+        """A trial's own TypeError is no pickling failure: no rerun."""
+        from repro.runtime import active_report
+
+        IN_PROCESS_CALLS.clear()
+        with active_report() as report:
+            with pytest.raises(TypeError, match="trial 12 failed"):
+                parallel_map(
+                    _fails_on_twelve, range(20), workers=2, amortize=False
+                )
+        assert IN_PROCESS_CALLS == []
+        assert report.count("serial-fallback") == 0
+        assert not [
+            w for w in recwarn if issubclass(
+                w.category, SerialFallbackWarning
+            )
+        ]
+
+    def test_unpicklable_later_payload_falls_back_in_pool(self):
+        """The first item pickles, a later one fails inside the pool."""
+        from repro.runtime import active_report
+
+        items = [1, 2, 3, _Unpicklable(), 5, 6]
+        with active_report() as report:
+            with pytest.warns(SerialFallbackWarning, match="_describe"):
+                out = parallel_map(
+                    _describe, items, workers=2, amortize=False
+                )
+        assert out == [1, 2, 3, "unpicklable", 5, 6]
+        assert report.count("serial-fallback") == 1
+
+    def test_unpicklable_result_falls_back_in_pool(self):
+        from repro.runtime import active_report
+
+        with active_report() as report:
+            with pytest.warns(SerialFallbackWarning):
+                out = parallel_map(
+                    _unpicklable_result, range(6), workers=2, amortize=False
+                )
+        assert [item for item, _ in out] == list(range(6))
+        assert report.count("serial-fallback") == 1
 
 
 class TestSimulationCache:

@@ -127,27 +127,28 @@ class TestCliResume:
 
 
 class TestResumeQuarantineNote:
-    def test_resume_warns_about_quarantined_shards(
+    def test_second_resume_after_torn_log_is_silent(
         self, tmp_path, capsys
     ):
-        ck = tmp_path / "ck"
-        ck.mkdir()
-        (ck / "manifest.json").write_text(
-            json.dumps({"argv": ["benchmarks"]})
-        )
-        (ck / "feedface.shard.pkl.corrupt").write_bytes(b"torn")
-        assert cli.main(["resume", str(ck)]) == 0
-        err = capsys.readouterr().err
-        assert "resuming: repro benchmarks" in err
-        notes = [
-            line
-            for line in err.splitlines()
-            if "quarantined shard file(s)" in line
-        ]
-        assert notes == [
-            f"note: 1 quarantined shard file(s) in {ck}; they will be "
-            f"recomputed"
-        ]
+        """Only the resume that recomputes a torn record reports it."""
+        ck = str(tmp_path / "ck")
+        out = str(tmp_path / "f.json")
+        assert cli.main([
+            "faults", "fig2", "--trials", "6", "--seed", "0",
+            "--style", "dist", "--checkpoint-dir", ck, "--json", out,
+        ]) == 0
+        clean = _read(out)
+        log = os.path.join(ck, "journal.log")
+        os.truncate(log, os.path.getsize(log) - 7)  # a cut-short append
+        os.unlink(out)
+        capsys.readouterr()
+        assert cli.main(["resume", ck]) == 0
+        assert "journal-quarantine" in capsys.readouterr().err
+        assert _read(out) == clean
+        os.unlink(out)
+        assert cli.main(["resume", ck]) == 0
+        assert "quarantin" not in capsys.readouterr().err
+        assert _read(out) == clean
 
     def test_resume_silent_without_quarantine(self, tmp_path, capsys):
         ck = tmp_path / "ck"
