@@ -1,15 +1,14 @@
 """Benchmarks for the parallel execution engine (:mod:`repro.perf`).
 
-Times the Monte-Carlo latency sweep serial vs. through the process pool,
-and the content-addressed cache on a warm hit.  On multi-core machines
-the parallel rows should beat serial roughly linearly in worker count;
-on a single core they document the pool's overhead instead.  Either way
-the statistics are asserted byte-identical — the engine's contract.
+Times the Monte-Carlo latency sweep serial vs. through the process pool.
+On multi-core machines the parallel rows should beat serial roughly
+linearly in worker count; on a single core they document the pool's
+overhead instead.  Either way the statistics are asserted
+byte-identical — the engine's contract.
 """
 
 from repro.api import synthesize
 from repro.benchmarks import ar_lattice
-from repro.perf import SimulationCache
 from repro.sim.runner import monte_carlo_latency
 
 TRIALS = 200
@@ -41,17 +40,3 @@ def test_monte_carlo_parallel_4_workers(benchmark):
     )
     assert stats == serial
 
-
-def test_monte_carlo_cached_warm(benchmark):
-    result = _design()
-    system = result.distributed_system()
-    cache = SimulationCache()
-    cold = monte_carlo_latency(
-        system, result.bound, p=0.7, trials=TRIALS, seed=0, cache=cache
-    )
-    warm = benchmark(
-        monte_carlo_latency, system, result.bound,
-        p=0.7, trials=TRIALS, seed=0, cache=cache,
-    )
-    assert warm == cold
-    assert cache.hits >= TRIALS

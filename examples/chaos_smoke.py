@@ -4,8 +4,8 @@ Runs a small fault campaign twice — once clean, once with deterministic
 chaos injected (a worker killed mid-campaign, a trial failing once) and
 a checkpoint journal underneath — and demands the chaotic run produce
 byte-identical JSON while recording every recovery it performed.  Then
-corrupts an on-disk simulation-cache entry and demands the cache
-quarantine and recompute instead of raising.
+tears an on-disk synthesis-cache entry and demands the cache quarantine
+it and the pipeline recompute the same design instead of raising.
 
 Exit code 0 means the resilience layer held; any divergence, silent
 recovery, or exception fails the drill.
@@ -15,6 +15,7 @@ Run with:  PYTHONPATH=src python examples/chaos_smoke.py
 
 from __future__ import annotations
 
+import glob
 import os
 import sys
 import tempfile
@@ -22,14 +23,14 @@ import tempfile
 from repro.api import synthesize
 from repro.benchmarks.registry import benchmark
 from repro.faults.campaign import run_campaign
-from repro.perf.cache import SimulationCache, simulate_cached
-from repro.resources.completion import BernoulliCompletion
+from repro.perf.cache import SynthesisCache
 from repro.runtime import (
     ChaosConfig,
     RunPolicy,
     RunReport,
     active_report,
 )
+from repro.serialize import design_to_dict
 
 
 def main() -> int:
@@ -63,24 +64,19 @@ def main() -> int:
         assert report.recoveries > 0, "chaos injected but nothing recovered"
         assert report.count("worker-crash") > 0, "worker kill went unseen"
 
-        cache_dir = os.path.join(scratch, "cache")
-        cache = SimulationCache(cache_dir)
-        system = result.distributed_system()
-        model = BernoulliCompletion(0.7)
-        first = simulate_cached(
-            system, result.bound, model, cache=cache, seed=0
+        cache_dir = os.path.join(scratch, "synth")
+        first = synthesize(
+            entry.dfg(), entry.allocation(), cache=SynthesisCache(cache_dir)
         )
-        key = cache.key(
-            system, result.bound, model, seed=0, iterations=1
-        )
-        with open(os.path.join(cache_dir, f"{key}.json"), "w") as handle:
+        entries = sorted(glob.glob(os.path.join(cache_dir, "*.syn.json")))
+        with open(entries[0], "w") as handle:
             handle.write('{"truncated')  # torn mid-write
-        healed = SimulationCache(cache_dir)
+        healed = SynthesisCache(cache_dir)
         with active_report(report):
-            again = simulate_cached(
-                system, result.bound, model, cache=healed, seed=0
-            )
-        assert again == first, "healed cache returned a different result"
+            again = synthesize(entry.dfg(), entry.allocation(), cache=healed)
+        assert design_to_dict(again) == design_to_dict(first), (
+            "healed cache returned a different design"
+        )
         assert healed.quarantined == 1, "corrupt entry was not quarantined"
         assert report.count("cache-quarantine") == 1
 

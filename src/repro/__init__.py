@@ -8,7 +8,7 @@ Lee, Nakamura, Nanya — DATE 2003) as a production-quality Python library:
 * :mod:`repro.resources` — fixed and telescopic arithmetic units,
   completion-signal models, bit-level datapaths and CSG synthesis,
 * :mod:`repro.scheduling` — time-step, TAUBM and order-based scheduling,
-* :mod:`repro.binding` — operation→unit and value→register binding,
+* :mod:`repro.binding` — operation→unit binding,
 * :mod:`repro.logic` — two-level boolean minimization for area analysis,
 * :mod:`repro.fsm` — Algorithm 1 and the centralized TAUBM FSM builders,
 * :mod:`repro.control` — distributed control-unit integration (Fig. 7),

@@ -17,11 +17,15 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from .faults.campaign import FaultCampaignReport
-    from .perf.cache import SimulationCache, SynthesisCache
+    from .perf.cache import SynthesisCache
     from .resources.spec import CompletionSpec
     from .sim.runner import LatencyStatistics
 
-from .analysis.latency import LatencyComparison, compare_latencies
+from .analysis.latency import (
+    DistLatencyEvaluator,
+    LatencyComparison,
+    compare_latencies,
+)
 from .binding.binder import BoundDataflowGraph
 from .control.distributed import DistributedControlUnit
 from .core.dfg import DataflowGraph
@@ -56,6 +60,11 @@ class SynthesisResult:
         """The full centralized product FSM (Fig. 4(a) expansion)."""
         return build_cent_fsm(self.bound)
 
+    @cached_property
+    def _dist_evaluator(self) -> DistLatencyEvaluator:
+        """The bound graph's longest-path evaluator, compiled once."""
+        return DistLatencyEvaluator(self.bound)
+
     def distributed_system(self) -> ControllerSystem:
         """Executable distributed controllers for the simulator."""
         return self.distributed.system()
@@ -81,7 +90,6 @@ class SynthesisResult:
         seed: int = 0,
         style: str = "dist",
         workers: "int | None" = 1,
-        cache: "SimulationCache | None" = None,
         policy=None,
         report=None,
         checkpoint=None,
@@ -94,8 +102,7 @@ class SynthesisResult:
         :class:`~repro.resources.spec.CompletionSpec`.
         ``style`` is ``"dist"``, ``"cent-sync"`` or ``"cent"``;
         ``workers`` fans trials out over the parallel engine
-        (:mod:`repro.perf`) with byte-identical statistics, and
-        ``cache`` short-circuits previously simulated trials.
+        (:mod:`repro.perf`) with byte-identical statistics.
         ``policy``/``report`` supervise the pool and ``checkpoint``
         journals completed trials for byte-identical resume — see
         :mod:`repro.runtime`.  ``engine`` picks the trial executor
@@ -111,7 +118,6 @@ class SynthesisResult:
             trials=trials,
             seed=seed,
             workers=workers,
-            cache=cache,
             policy=policy,
             report=report,
             checkpoint=checkpoint,
@@ -143,13 +149,13 @@ class SynthesisResult:
         analytical model).
         """
         from .analysis.exact_engine import analyze_dist, analyze_sync
-        from .analysis.latency import DistLatencyEvaluator, duration_table
+        from .analysis.latency import duration_table
 
         table = duration_table(self.bound, p)
         clock_ns = self.allocation.clock_period_ns()
         if style == "dist":
             return analyze_dist(
-                DistLatencyEvaluator(self.bound), table, clock_ns=clock_ns
+                self._dist_evaluator, table, clock_ns=clock_ns
             )
         if style == "cent-sync":
             return analyze_sync(self.taubm, table, clock_ns=clock_ns)
@@ -205,8 +211,6 @@ class SynthesisResult:
         p: "float | str | CompletionSpec" = 0.7,
         styles: Sequence[str] = ("dist", "cent-sync"),
         workers: "int | None" = 1,
-        policy=None,
-        report=None,
         checkpoint=None,
     ) -> "FaultCampaignReport":
         """Run a seeded fault-injection campaign on this design.
@@ -215,16 +219,15 @@ class SynthesisResult:
         classifies each run as detected / tolerated / silent — see
         :mod:`repro.faults`.  The report compares the distributed unit's
         vulnerability against the synchronized centralized baseline.
-        ``workers`` parallelizes trials without changing the report;
-        ``policy``/``report`` supervise the pool and ``checkpoint``
-        journals completed trials for byte-identical resume.
+        ``workers`` parallelizes trials without changing the report and
+        ``checkpoint`` journals completed trials for byte-identical
+        resume.
         """
         from .faults.campaign import run_campaign
 
         return run_campaign(
             self, trials=trials, seed=seed, p=p, styles=styles,
-            workers=workers, policy=policy, report=report,
-            checkpoint=checkpoint,
+            workers=workers, checkpoint=checkpoint,
         )
 
 

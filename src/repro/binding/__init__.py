@@ -1,20 +1,8 @@
-"""Binding: operations to units, values to registers."""
+"""Binding: operations to arithmetic units."""
 
 from .binder import BoundDataflowGraph, bind
-from .registers import (
-    Lifetime,
-    RegisterBinding,
-    left_edge_register_binding,
-    value_lifetimes,
-    verify_register_binding,
-)
 
 __all__ = [
     "BoundDataflowGraph",
-    "Lifetime",
-    "RegisterBinding",
     "bind",
-    "left_edge_register_binding",
-    "value_lifetimes",
-    "verify_register_binding",
 ]

@@ -76,6 +76,11 @@ class BoundDataflowGraph:
 
     def telescopic_ops(self) -> tuple[str, ...]:
         """All operations bound to telescopic units, topological order."""
+        return self._telescopic_ops
+
+    @cached_property
+    def _telescopic_ops(self) -> tuple[str, ...]:
+        # computed once per bound graph: every exact query asks for it
         return tuple(
             op.name for op in self.dfg if self.is_telescopic_op(op.name)
         )

@@ -403,7 +403,6 @@ def run_multilevel(
     seed: int = 0,
     workers: "int | None" = 1,
     policy=None,
-    report=None,
     checkpoint=None,
 ) -> MultiLevelResult:
     """Synthesize a benchmark on 3-level VCAUs and compare schemes.
@@ -414,7 +413,7 @@ def run_multilevel(
     the distributed number.  ``workers`` parallelizes the Monte-Carlo
     trials (the result is identical for any worker count);
     ``checkpoint`` journals completed trials for byte-identical resume,
-    ``policy``/``report`` supervise the pool.
+    ``policy`` supervises the pool.
     """
     from ..core.ops import ResourceClass
 
@@ -463,7 +462,6 @@ def run_multilevel(
             checkpoint=checkpoint,
             workers=workers,
             policy=policy,
-            report=report,
         )
     )
     max_extension = max(
@@ -536,7 +534,6 @@ def run_physical(
     seed: int = 0,
     workers: "int | None" = 1,
     policy=None,
-    report=None,
     checkpoint=None,
 ) -> PhysicalRunResult:
     """Drive a design with real operands through a synthesized CSG.
@@ -598,7 +595,6 @@ def run_physical(
         checkpoint=checkpoint,
         workers=workers,
         policy=policy,
-        report=report,
     )
     total_cycles = sum(cycles for cycles, _, _ in outcomes)
     fast_hits = sum(hits for _, hits, _ in outcomes)

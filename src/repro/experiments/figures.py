@@ -226,15 +226,14 @@ def run_fig4(
     tau_counts: Sequence[int] = (1, 2, 3, 4),
     workers: "int | None" = 1,
     policy=None,
-    report=None,
     checkpoint=None,
 ) -> Fig4Result:
     """Measure state growth on the pathological one-step DFGs.
 
     The product construction for the largest ``n`` dominates; ``workers``
     builds the independent points concurrently.  ``checkpoint`` journals
-    each finished point for byte-identical resume; ``policy``/``report``
-    supervise the pool (see :mod:`repro.runtime`).
+    each finished point for byte-identical resume; ``policy`` supervises
+    the pool (see :mod:`repro.runtime`).
     """
     from ..runtime.journal import checkpointed_map
 
@@ -250,7 +249,6 @@ def run_fig4(
         checkpoint=checkpoint,
         workers=workers,
         policy=policy,
-        report=report,
     )
     return Fig4Result(
         tau_counts=tuple(tau_counts),

@@ -100,8 +100,6 @@ def run_table2(
     exact_limit: int = 20,
     trials: int = 4000,
     workers: "int | None" = 1,
-    policy=None,
-    report=None,
     checkpoint=None,
 ) -> Table2Result:
     """Regenerate Table 2 over the registered Table-2 benchmarks.
@@ -109,8 +107,8 @@ def run_table2(
     Each row is an independent synthesis + expectation computation;
     ``workers`` distributes rows over a process pool without changing a
     single digit of the output.  ``checkpoint`` journals each finished
-    row so an interrupted run resumes byte-identically; ``policy`` and
-    ``report`` supervise the pool (see :mod:`repro.runtime`).
+    row so an interrupted run resumes byte-identically (see
+    :mod:`repro.runtime`).
     """
     from functools import partial
 
@@ -129,7 +127,5 @@ def run_table2(
         run_key=run_key,
         checkpoint=checkpoint,
         workers=workers,
-        policy=policy,
-        report=report,
     )
     return Table2Result(ps=tuple(ps), comparisons=tuple(rows))

@@ -19,7 +19,6 @@ from .campaign import (
     FaultCampaignReport,
     FaultTrialRecord,
     TrialFault,
-    run_benchmark_campaign,
     run_campaign,
 )
 from .models import (
@@ -48,6 +47,5 @@ __all__ = [
     "StuckCompletionFault",
     "TrialFault",
     "inject",
-    "run_benchmark_campaign",
     "run_campaign",
 ]

@@ -566,38 +566,3 @@ def run_campaign(
         p=spec.p if isinstance(spec, BernoulliSpec) else spec.encode(),
         records=tuple(records),
     )
-
-
-def run_benchmark_campaign(
-    benchmark_name: str,
-    *,
-    trials: int = 100,
-    seed: int = 0,
-    p: "float | str | CompletionSpec" = 0.7,
-    styles: Sequence[str] = STYLES,
-    allocation: "str | None" = None,
-    workers: "int | None" = 1,
-) -> FaultCampaignReport:
-    """Synthesize a registered benchmark and run a campaign on it.
-
-    The design is constructed through the synthesis pipeline, so a
-    process-default artifact cache (``--cache-dir``) lets repeated
-    campaigns on the same benchmark skip every synthesis pass.
-    """
-    from ..benchmarks.registry import benchmark
-    from ..pipeline.manager import synthesize_design
-
-    entry = benchmark(benchmark_name)
-    result = synthesize_design(
-        entry.dfg(),
-        allocation if allocation is not None else entry.allocation(),
-    )
-    return run_campaign(
-        result,
-        trials=trials,
-        seed=seed,
-        p=p,
-        styles=styles,
-        benchmark=entry.name,
-        workers=workers,
-    )

@@ -1,4 +1,4 @@
-"""Deterministic parallel execution engine, result cache and bench.
+"""Deterministic parallel execution engine, synthesis cache and bench.
 
 ``repro.perf`` is the scaling layer under every statistical experiment:
 
@@ -8,23 +8,20 @@
   seeds come from :func:`derive_seed`, a stable hash of
   ``(base_seed, trial)``, so parallel output is byte-identical to
   serial output.
-* :mod:`~repro.perf.cache` — content-addressed caches: a
-  simulation-result cache keyed by (design fingerprint, completion
-  model, seed, iterations) and the per-pass synthesis-artifact cache
-  behind :mod:`repro.pipeline`; both make figure/sweep regeneration
-  incremental and can share one ``--cache-dir``.
+* :mod:`~repro.perf.cache` — stable design and artifact fingerprints
+  and the content-addressed, self-healing per-pass synthesis cache
+  behind :mod:`repro.pipeline` (``--cache-dir``).
 * :mod:`~repro.perf.bench` — the ``repro bench`` harness that times
-  synthesis, simulation, Monte-Carlo (serial vs parallel) and exact
-  expectation on the registered benchmarks and persists the perf
-  trajectory in ``BENCH_core.json``.
+  synthesis, simulation, scalar Monte-Carlo (serial vs parallel), the
+  batch Monte-Carlo engine and the exact latency engine on the
+  registered benchmarks and persists the perf trajectory in
+  ``BENCH_core.json``.
 """
 
 from .cache import (
-    SimulationCache,
     SynthesisCache,
     artifact_fingerprint,
     design_fingerprint,
-    simulate_cached,
 )
 from .engine import (
     derive_seed,
@@ -37,7 +34,6 @@ from .bench import BenchReport, run_bench
 
 __all__ = [
     "BenchReport",
-    "SimulationCache",
     "SynthesisCache",
     "artifact_fingerprint",
     "derive_seed",
@@ -47,5 +43,4 @@ __all__ = [
     "parallel_map",
     "resolve_workers",
     "run_bench",
-    "simulate_cached",
 ]

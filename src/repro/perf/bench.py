@@ -2,11 +2,12 @@
 
 Times the library's hot paths on registered benchmarks — end-to-end
 synthesis, one cycle-accurate simulation, Monte-Carlo latency serial vs
-parallel, and the exact expected-latency enumeration — and renders the
-measurements as a JSON document with deterministic structure (sorted
-keys, fixed rounding, stable section names).  ``BENCH_core.json`` at the
-repository root is the committed trajectory: every perf-affecting PR
-regenerates it, so a regression shows up as a diff.
+parallel, the batch Monte-Carlo engine and the exact latency engine —
+and renders the measurements as a JSON document with deterministic
+structure (sorted keys, fixed rounding, stable section names).
+``BENCH_core.json`` at the repository root is the committed
+trajectory: every perf-affecting PR regenerates it, so a regression
+shows up as a diff.
 
 The *timing* values naturally vary run to run; every *result* value in
 the document (cycle counts, expectations, Monte-Carlo means) is
@@ -234,8 +235,6 @@ def run_bench(
     repeats: int = 3,
     cache_dir: "str | None" = None,
     checkpoint_dir: "str | None" = None,
-    policy=None,
-    report=None,
 ) -> BenchReport:
     """Time the core flows on ``benchmarks`` and build the report.
 
@@ -287,8 +286,6 @@ def run_bench(
         run_key=run_key,
         checkpoint=checkpoint_dir,
         workers=1,
-        policy=policy,
-        report=report,
     )
     rows = dict(zip(names, row_list))
     data = {

@@ -1,26 +1,20 @@
-"""Content-addressed simulation-result cache.
+"""Stable fingerprints and the content-addressed synthesis cache.
 
-Regenerating a figure or sweep re-runs exactly the simulations that ran
-last time: same design, same completion model, same seed, same
-iteration count.  The cache turns that repetition into a lookup.  Keys
-are SHA-256 digests over
+Fingerprints are SHA-256 digests of canonical JSON (sorted keys, no
+spaces) built from the serializations in :mod:`repro.serialize`, so two
+processes always derive the same digest for the same artifact (nothing
+hashed depends on ``PYTHONHASHSEED`` or object identity):
 
-* the **design fingerprint** — the serialized dataflow graph, the
-  allocation (unit names, kinds, level delays), the binding and the
-  execution order,
-* the **controller fingerprint** — which controller system (its keys
-  and FSM structure) drives the run,
-* the **completion model fingerprint** — type and parameters,
-* ``seed`` and ``iterations``.
+* :func:`design_fingerprint` — the dataflow graph, the allocation (unit
+  names, kinds, level delays), the binding and the execution order;
+* :func:`system_fingerprint` — a controller system's keys and FSM
+  structure;
+* one fingerprint per pipeline artifact type
+  (:func:`artifact_fingerprint` dispatches).
 
-A key therefore changes whenever anything that could change the outcome
-changes; two processes always derive the same key for the same run
-(nothing hashed depends on ``PYTHONHASHSEED`` or object identity).
-
-Entries store the cheap, deterministic subset of a
-:class:`~repro.sim.simulator.SimulationResult` (cycle counts, per-op
-outcomes — never traces or datapaths), JSON-serializable so a cache can
-persist to a directory and survive across processes.
+The checkpoint journal keys its Monte-Carlo and fault-campaign runs on
+the first two; :class:`SynthesisCache`, the per-pass cache behind
+:mod:`repro.pipeline`, keys its entries on the artifact fingerprints.
 
 On-disk entries are **self-healing**: every file embeds a SHA-256
 checksum of its canonical payload and is published with an atomic
@@ -28,7 +22,7 @@ write-temp-then-rename, so a crash mid-``put`` can never tear an
 entry.  A corrupt, truncated or checksum-failing file found by ``get``
 is *quarantined* (renamed ``*.corrupt``), counted on the cache and
 reported to the ambient :class:`~repro.runtime.policy.RunReport`, and
-the result is simply recomputed — corruption costs time, never
+the pass is simply recomputed — corruption costs time, never
 correctness and never an exception out of ``get``.
 """
 
@@ -44,14 +38,12 @@ from ..runtime.journal import atomic_write_text
 from ..runtime.policy import record_event
 
 from ..serialize import dfg_to_dict
-from ..sim.simulator import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..binding.binder import BoundDataflowGraph
     from ..core.dfg import DataflowGraph
     from ..fsm.model import FSM
     from ..resources.allocation import ResourceAllocation
-    from ..resources.completion import CompletionModel
     from ..scheduling.schedule import (
         OrderSchedule,
         TaubmSchedule,
@@ -220,31 +212,6 @@ def system_fingerprint(system: "ControllerSystem") -> str:
     return _digest(payload)
 
 
-def model_fingerprint(model: "CompletionModel") -> str:
-    """Stable digest of a completion model's type and parameters."""
-    return _digest(_model_payload(model))
-
-
-def _model_payload(model: "CompletionModel") -> dict:
-    payload: dict = {"type": type(model).__qualname__}
-    for name, value in sorted(vars(model).items()):
-        if name.startswith("_"):
-            # Mutable run state (trace cursors, Markov history) must not
-            # leak into cache identity.
-            continue
-        if isinstance(value, (bool, int, float, str)) or value is None:
-            payload[name] = value
-        elif isinstance(value, (tuple, list)):
-            payload[name] = [repr(v) for v in value]
-        elif isinstance(value, Mapping):
-            payload[name] = {
-                str(k): repr(v) for k, v in sorted(value.items())
-            }
-        else:
-            payload[name] = repr(value)
-    return payload
-
-
 def _canonical_text(payload: object) -> str:
     """Sorted-key, space-free JSON: the one text every digest hashes."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -257,7 +224,7 @@ def _digest(payload: object) -> str:
 # ----------------------------------------------------------------------
 # Self-healing cache files
 #
-# One envelope for both caches: {"sha256": <digest of canonical
+# Every entry is one envelope: {"sha256": <digest of canonical
 # payload>, "payload": {...}}, written atomically.  Reading verifies
 # the checksum; anything unreadable or mismatching is quarantined and
 # treated as a miss.  Legacy files (bare payloads from before the
@@ -317,166 +284,6 @@ def _read_entry(cache, file_path: str) -> "object | None":
     return data  # legacy bare payload (pre-envelope format)
 
 
-def _result_to_dict(result: SimulationResult) -> dict:
-    return {
-        "cycles": result.cycles,
-        "clock_ns": result.clock_ns,
-        "start_cycles": dict(sorted(result.start_cycles.items())),
-        "finish_cycles": dict(sorted(result.finish_cycles.items())),
-        "iteration_finish_cycles": list(result.iteration_finish_cycles),
-        "fast_outcomes": {
-            op: list(v) for op, v in sorted(result.fast_outcomes.items())
-        },
-        "level_outcomes": {
-            op: list(v) for op, v in sorted(result.level_outcomes.items())
-        },
-        "token_overruns": result.token_overruns,
-    }
-
-
-def _result_from_dict(data: Mapping) -> SimulationResult:
-    return SimulationResult(
-        cycles=int(data["cycles"]),
-        clock_ns=float(data["clock_ns"]),
-        start_cycles={
-            k: int(v) for k, v in data["start_cycles"].items()
-        },
-        finish_cycles={
-            k: int(v) for k, v in data["finish_cycles"].items()
-        },
-        iteration_finish_cycles=tuple(
-            int(v) for v in data["iteration_finish_cycles"]
-        ),
-        fast_outcomes={
-            op: tuple(bool(b) for b in v)
-            for op, v in data["fast_outcomes"].items()
-        },
-        level_outcomes={
-            op: tuple(int(b) for b in v)
-            for op, v in data["level_outcomes"].items()
-        },
-        token_overruns=int(data["token_overruns"]),
-    )
-
-
-class SimulationCache:
-    """In-memory, optionally directory-backed simulation result cache.
-
-    ``path=None`` keeps entries in-process only; with a directory path
-    every entry is additionally written as ``<key>.json`` and found
-    again by any later process — regenerating a report after touching
-    one benchmark re-simulates only that benchmark.
-    """
-
-    def __init__(self, path: "str | None" = None) -> None:
-        self._memory: dict[str, SimulationResult] = {}
-        self._path = path
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-        if path is not None:
-            os.makedirs(path, exist_ok=True)
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def key(
-        self,
-        system: "ControllerSystem",
-        bound: "BoundDataflowGraph",
-        model: "CompletionModel",
-        *,
-        seed: int,
-        iterations: int,
-    ) -> str:
-        """Content address of one simulation run."""
-        return _digest(
-            {
-                "design": design_fingerprint(bound),
-                "system": system_fingerprint(system),
-                "model": _model_payload(model),
-                "seed": int(seed),
-                "iterations": int(iterations),
-            }
-        )
-
-    def get(self, key: str) -> "SimulationResult | None":
-        result = self._memory.get(key)
-        if result is None and self._path is not None:
-            file_path = os.path.join(self._path, f"{key}.json")
-            payload = _read_entry(self, file_path)
-            if payload is not None:
-                try:
-                    result = _result_from_dict(payload)
-                except (KeyError, TypeError, ValueError, AttributeError):
-                    _quarantine_entry(
-                        self, file_path, "does not decode to a result"
-                    )
-                    result = None
-                else:
-                    self._memory[key] = result
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
-
-    def put(self, key: str, result: SimulationResult) -> None:
-        stored = SimulationResult(**_result_to_dict_kwargs(result))
-        self._memory[key] = stored
-        if self._path is not None:
-            file_path = os.path.join(self._path, f"{key}.json")
-            _write_entry(file_path, _canonical_text(_result_to_dict(stored)))
-
-
-def _result_to_dict_kwargs(result: SimulationResult) -> dict:
-    """Strip trace/datapath so cached entries stay value-only."""
-    return {
-        "cycles": result.cycles,
-        "clock_ns": result.clock_ns,
-        "start_cycles": dict(result.start_cycles),
-        "finish_cycles": dict(result.finish_cycles),
-        "iteration_finish_cycles": result.iteration_finish_cycles,
-        "fast_outcomes": dict(result.fast_outcomes),
-        "level_outcomes": dict(result.level_outcomes),
-        "token_overruns": result.token_overruns,
-    }
-
-
-def simulate_cached(
-    system: "ControllerSystem",
-    bound: "BoundDataflowGraph",
-    model: "CompletionModel",
-    *,
-    cache: "SimulationCache | None",
-    seed: int = 0,
-    iterations: int = 1,
-    **kwargs,
-) -> SimulationResult:
-    """:func:`~repro.sim.simulator.simulate` through a cache.
-
-    Only pure value runs are cacheable: a request recording a trace,
-    driving a datapath or customizing monitors bypasses the cache (the
-    extra artifacts are not content-addressed).
-    """
-    from ..sim.simulator import simulate
-
-    cacheable = cache is not None and not kwargs
-    if not cacheable:
-        return simulate(
-            system, bound, model, seed=seed, iterations=iterations, **kwargs
-        )
-    key = cache.key(system, bound, model, seed=seed, iterations=iterations)
-    found = cache.get(key)
-    if found is not None:
-        return found
-    result = simulate(
-        system, bound, model, seed=seed, iterations=iterations
-    )
-    cache.put(key, result)
-    return result
-
-
 class SynthesisCache:
     """In-memory, optionally directory-backed synthesis-artifact cache.
 
@@ -484,9 +291,8 @@ class SynthesisCache:
     executed pass, keyed by a digest of the pass name, the fingerprints
     of its input artifacts and its options.  ``path=None`` keeps entries
     in-process; with a directory every entry is also written as
-    ``<key>.syn.json`` (the suffix keeps synthesis entries disjoint from
-    :class:`SimulationCache` files, so both caches can share one
-    ``--cache-dir``).
+    ``<key>.syn.json``.  The suffix is part of the on-disk format, so a
+    directory written by an earlier version stays warm.
     """
 
     def __init__(self, path: "str | None" = None) -> None:

@@ -10,9 +10,8 @@ through one contract:
 
 * ``bernoulli(p)`` — the paper's i.i.d. model.  Byte-identical to the
   legacy scalar-``p`` path everywhere: same simulated cycles, same
-  cache keys (:meth:`CompletionSpec.key_fragment` renders the exact
-  legacy ``p={p!r}`` journal fragment), same ``BENCH_core.json``
-  values.
+  journal keys (:meth:`CompletionSpec.key_fragment` renders the exact
+  legacy ``p={p!r}`` fragment), same ``BENCH_core.json`` values.
 * ``per-unit({class_or_unit: p})`` — heterogeneous SD/LD mixes: each
   telescopic unit draws with its own probability, keyed by unit name
   (``TM1``), resource class (``mul``) or the ``*`` default.
@@ -155,8 +154,8 @@ class BernoulliSpec(CompletionSpec):
         return f"bernoulli:{self.p!r}"
 
     def key_fragment(self) -> str:
-        # the exact legacy fragment: existing journals and caches keyed
-        # on a bare float stay warm across the spec refactor
+        # the exact legacy fragment: existing journals keyed on a bare
+        # float stay warm across the spec refactor
         return f"p={self.p!r}"
 
     def to_dict(self) -> dict:

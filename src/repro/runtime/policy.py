@@ -3,16 +3,17 @@
 A :class:`RunPolicy` tells the supervised pool *how hard to try*: the
 per-item timeout, the retry budget, the backoff between attempts, and
 what to do once the budget is spent.  A :class:`RunReport` records what
-the supervisor (and the self-healing caches and journals) actually had
+the supervisor (and the self-healing cache and journals) actually had
 to do — every recovery is an explicit, structured event, never a silent
 code path.
 
 The report is threaded two ways: explicitly (``report=`` keyword on
-:func:`~repro.perf.engine.parallel_map` and the long drivers) or
-ambiently via :func:`active_report`, a context manager the CLI wraps
-around whole commands so that components without a report parameter
-(the content-addressed caches, the checkpoint journal) can still
-account for their quarantines.
+:func:`~repro.perf.engine.parallel_map`, ``run_campaign`` and
+``monte_carlo_latency``) or ambiently via :func:`active_report`, a
+context manager the CLI wraps around whole commands so that components
+without a report parameter (the synthesis cache, the checkpoint
+journal, the experiment drivers) can still account for their
+recoveries.
 """
 
 from __future__ import annotations
@@ -150,10 +151,10 @@ class RecoveryEvent:
 class RunReport:
     """Structured account of every recovery a resilient run performed.
 
-    Mutable collector: the supervised pool, the self-healing caches and
-    the checkpoint journal all append :class:`RecoveryEvent` records to
-    the report in effect.  ``recoveries`` is the total event count —
-    zero means the run was entirely clean.
+    Mutable collector: the supervised pool, the self-healing synthesis
+    cache and the checkpoint journal all append :class:`RecoveryEvent`
+    records to the report in effect.  ``recoveries`` is the total event
+    count — zero means the run was entirely clean.
     """
 
     def __init__(self) -> None:
@@ -228,8 +229,9 @@ def active_report(
     """Make ``report`` (or a fresh one) the ambient recovery collector.
 
     Components that take no ``report=`` parameter — the self-healing
-    caches, the checkpoint journal — record their quarantines into the
-    innermost active report.  Nesting is allowed; the innermost wins.
+    synthesis cache, the checkpoint journal, the experiment drivers —
+    record their events into the innermost active report.  Nesting is
+    allowed; the innermost wins.
     """
     own = report if report is not None else RunReport()
     _ACTIVE.append(own)

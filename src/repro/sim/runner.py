@@ -19,7 +19,6 @@ from .controllers import ControllerSystem
 from .simulator import SimulationResult, simulate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..perf.cache import SimulationCache
     from ..runtime.journal import CheckpointJournal
     from ..runtime.policy import RunPolicy, RunReport
 
@@ -114,7 +113,6 @@ def monte_carlo_latency(
     seed: int = 0,
     *,
     workers: "int | None" = 1,
-    cache: "SimulationCache | None" = None,
     policy: "RunPolicy | None" = None,
     report: "RunReport | None" = None,
     checkpoint: "CheckpointJournal | str | None" = None,
@@ -130,9 +128,7 @@ def monte_carlo_latency(
     Per-trial seeds are derived from ``(seed, trial)`` with a stable
     hash (:func:`~repro.perf.engine.derive_seed`), so ``workers=N``
     returns statistics byte-identical to the serial run — parallelism
-    changes wall-clock time only.  ``cache`` (a
-    :class:`~repro.perf.cache.SimulationCache`) short-circuits trials
-    already simulated for this exact design/model/seed combination.
+    changes wall-clock time only.
 
     ``policy``/``report`` supervise the pool (crash recovery, retries,
     timeouts — see :mod:`repro.runtime`); ``checkpoint`` journals each
@@ -144,11 +140,9 @@ def monte_carlo_latency(
     numpy-vectorized lockstep engine (:mod:`repro.sim.batch` —
     statistics byte-identical to scalar, orders of magnitude faster),
     and ``"auto"`` (the default) uses the batch engine whenever it
-    applies (numpy present, <= 63 ops, no cache/policy/checkpoint
+    applies (numpy present, <= 63 ops, no policy/checkpoint
     supervision requested) and the scalar path otherwise.
     """
-    from ..perf.engine import derive_seed
-
     spec = as_completion_spec(p)
     if engine not in ("auto", "scalar", "batch"):
         raise SimulationError(
@@ -161,15 +155,11 @@ def monte_carlo_latency(
     if engine != "scalar":
         from .batch import BatchUnsupported, batch_supported
 
-        supervised = (
-            cache is not None
-            or policy is not None
-            or checkpoint is not None
-        )
+        supervised = policy is not None or checkpoint is not None
         if engine == "batch" and supervised:
             raise SimulationError(
-                "engine='batch' is incompatible with cache/policy/"
-                "checkpoint supervision; use engine='auto' or 'scalar'"
+                "engine='batch' is incompatible with policy/checkpoint "
+                "supervision; use engine='auto' or 'scalar'"
             )
         if not supervised and batch_supported(system, bound):
             from ..runtime.policy import record_event
@@ -194,21 +184,6 @@ def monte_carlo_latency(
             raise SimulationError(
                 "engine='batch' requires numpy and <= 63 operations"
             )
-    if cache is not None:
-        from ..perf.cache import simulate_cached
-
-        model = spec.model()
-        samples = [
-            simulate_cached(
-                system,
-                bound,
-                model,
-                cache=cache,
-                seed=derive_seed(seed, trial),
-            ).cycles
-            for trial in range(trials)
-        ]
-        return LatencyStatistics.from_samples(samples)
     from ..runtime.journal import checkpointed_map
 
     # fingerprinting costs a serialization pass; only pay it when a

@@ -52,14 +52,6 @@ from .modelcheck import (
     check_target,
 )
 from .rules import RULES, Rule, rule, rule_table
-from .selftest import (
-    STRUCTURAL_FAULTS,
-    SelftestOutcome,
-    StructuralFault,
-    covered_fault_kinds,
-    injector_fault_kinds,
-    run_selftest,
-)
 from .target import LintTarget
 
 __all__ = [
@@ -76,16 +68,11 @@ __all__ = [
     "RULES",
     "Rule",
     "SEVERITIES",
-    "STRUCTURAL_FAULTS",
-    "SelftestOutcome",
-    "StructuralFault",
     "check_benchmark",
     "check_result",
     "check_store",
     "check_target",
-    "covered_fault_kinds",
     "gate_report",
-    "injector_fault_kinds",
     "lint_benchmark",
     "lint_fsm",
     "lint_result",
@@ -94,7 +81,6 @@ __all__ = [
     "load_baseline",
     "rule",
     "rule_table",
-    "run_selftest",
     "severity_rank",
     "write_baseline",
 ]

@@ -166,45 +166,6 @@ def test_monte_carlo_run_key_matches_legacy_format(fig2_result):
     assert key == legacy
 
 
-def test_simulation_cache_key_unchanged_for_bernoulli(fig2_result):
-    from repro.perf.cache import SimulationCache
-
-    cache = SimulationCache()
-    system = fig2_result.distributed_system()
-    new = cache.key(
-        system,
-        fig2_result.bound,
-        BernoulliSpec(0.7).model(),
-        seed=0,
-        iterations=1,
-    )
-    old = cache.key(
-        system,
-        fig2_result.bound,
-        BernoulliCompletion(0.7),
-        seed=0,
-        iterations=1,
-    )
-    assert new == old
-
-
-def test_markov_history_does_not_leak_into_cache_key(fig2_result):
-    from repro.perf.cache import SimulationCache
-
-    cache = SimulationCache()
-    system = fig2_result.distributed_system()
-    model = MarkovSpec(0.7, 0.5).model()
-    before = cache.key(
-        system, fig2_result.bound, model, seed=0, iterations=1
-    )
-    rng = random.Random(0)
-    model.is_fast("m1", TM1, (), rng)
-    after = cache.key(
-        system, fig2_result.bound, model, seed=0, iterations=1
-    )
-    assert before == after
-
-
 # ----------------------------------------------------------------------
 # Model semantics
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.errors import InjectedFaultEscape
 from repro.faults import (
     FaultCampaignReport,
     FaultTrialRecord,
-    run_benchmark_campaign,
     run_campaign,
 )
 
@@ -63,14 +62,14 @@ class TestReproducibility:
         b = run_campaign(fig2_result, trials=5, seed=7, benchmark="fig2")
         assert a.to_json() == b.to_json()
 
-    def test_fig2_campaign_matches_golden_json(self):
+    def test_fig2_campaign_matches_golden_json(self, fig2_result):
         """``repro faults fig2 --trials 10 --seed 0 --json`` output, pinned.
 
         Trials share one controller system per style and read its
         transition table; the records must not notice.
         """
         golden = Path(__file__).parent / "golden" / "faults_fig2.json"
-        report = run_benchmark_campaign("fig2", trials=10, seed=0)
+        report = run_campaign(fig2_result, trials=10, seed=0, benchmark="fig2")
         assert (report.to_json() + "\n").encode() == golden.read_bytes()
 
     def test_different_seed_different_faults(self, fig2_result):
@@ -123,15 +122,9 @@ class TestReporting:
 
 
 class TestEntryPoints:
-    def test_benchmark_campaign_single_style(self):
-        report = run_benchmark_campaign(
-            "fig3", trials=3, seed=0, styles=("dist",)
-        )
-        assert report.benchmark == "fig3"
-        assert report.styles() == ("dist",)
-        assert len(report.records) == 3
-
     def test_api_fault_campaign_method(self, fig3_result):
         report = fig3_result.fault_campaign(trials=3, seed=2, styles=("dist",))
+        assert report.benchmark == "fig3"
+        assert report.styles() == ("dist",)
         assert len(report.records) == 3
         assert report.escapes() == ()

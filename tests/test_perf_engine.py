@@ -11,22 +11,13 @@ import pytest
 
 from repro.errors import SerialFallbackWarning, SimulationError
 from repro.perf.bench import BenchReport, run_bench
-from repro.perf.cache import (
-    SimulationCache,
-    design_fingerprint,
-    model_fingerprint,
-    simulate_cached,
-    system_fingerprint,
-)
+from repro.perf.cache import design_fingerprint, system_fingerprint
 from repro.perf.engine import (
     default_chunksize,
     derive_seed,
     parallel_map,
     resolve_workers,
 )
-from repro.resources.completion import BernoulliCompletion
-from repro.sim.runner import monte_carlo_latency
-from repro.sim.simulator import simulate
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -195,180 +186,55 @@ class TestParallelMap:
         assert report.count("serial-fallback") == 1
 
 
-class TestSimulationCache:
-    def test_hit_returns_identical_result(self, fig2_result):
-        cache = SimulationCache()
-        system = fig2_result.distributed_system()
-        model = BernoulliCompletion(p=0.7)
-        first = simulate_cached(
-            system, fig2_result.bound, model, cache=cache, seed=3
-        )
-        second = simulate_cached(
-            system, fig2_result.bound, BernoulliCompletion(p=0.7),
-            cache=cache, seed=3,
-        )
-        assert cache.hits == 1 and cache.misses == 1
-        assert first == second
-        direct = simulate(
-            system, fig2_result.bound, BernoulliCompletion(p=0.7), seed=3
-        )
-        assert second.cycles == direct.cycles
-        assert second.fast_outcomes == direct.fast_outcomes
-
-    def test_key_sensitivity(self, fig2_result, fig3_result):
-        cache = SimulationCache()
-        model = BernoulliCompletion(p=0.7)
-        base = cache.key(
-            fig2_result.distributed_system(), fig2_result.bound, model,
-            seed=0, iterations=1,
-        )
-        assert base != cache.key(
-            fig2_result.distributed_system(), fig2_result.bound, model,
-            seed=1, iterations=1,
-        )
-        assert base != cache.key(
-            fig2_result.distributed_system(), fig2_result.bound, model,
-            seed=0, iterations=2,
-        )
-        assert base != cache.key(
-            fig3_result.distributed_system(), fig3_result.bound, model,
-            seed=0, iterations=1,
-        )
-
-    def test_directory_backed_survives_new_instance(
-        self, tmp_path, fig2_result
-    ):
-        path = str(tmp_path / "simcache")
-        system = fig2_result.distributed_system()
-        first = simulate_cached(
-            system, fig2_result.bound, BernoulliCompletion(p=0.5),
-            cache=SimulationCache(path), seed=1,
-        )
-        fresh = SimulationCache(path)
-        second = simulate_cached(
-            system, fig2_result.bound, BernoulliCompletion(p=0.5),
-            cache=fresh, seed=1,
-        )
-        assert fresh.hits == 1 and fresh.misses == 0
-        assert first == second
-
-    def test_trace_request_bypasses_cache(self, fig2_result):
-        cache = SimulationCache()
-        simulate_cached(
-            fig2_result.distributed_system(), fig2_result.bound,
-            BernoulliCompletion(p=0.7), cache=cache, seed=0,
-            record_trace=True,
-        )
-        assert len(cache) == 0 and cache.misses == 0
-
+class TestFingerprints:
     def test_fingerprints_are_stable_hex(self, fig2_result):
         fp = design_fingerprint(fig2_result.bound)
         assert fp == design_fingerprint(fig2_result.bound)
         assert len(fp) == 64
         sp = system_fingerprint(fig2_result.distributed_system())
         assert sp == system_fingerprint(fig2_result.distributed_system())
-        assert model_fingerprint(
-            BernoulliCompletion(p=0.7)
-        ) != model_fingerprint(BernoulliCompletion(p=0.9))
-
-    def test_monte_carlo_with_cache_matches_without(self, fig2_result):
-        system = fig2_result.distributed_system()
-        plain = monte_carlo_latency(
-            system, fig2_result.bound, p=0.7, trials=25, seed=0
-        )
-        cache = SimulationCache()
-        cached = monte_carlo_latency(
-            system, fig2_result.bound, p=0.7, trials=25, seed=0, cache=cache,
-        )
-        assert cached == plain
-        assert cache.misses == 25
-        again = monte_carlo_latency(
-            system, fig2_result.bound, p=0.7, trials=25, seed=0, cache=cache,
-        )
-        assert again == plain
-        assert cache.hits == 25
+        assert len(sp) == 64
 
 
 class TestSelfHealingCaches:
     """Corrupt cache files are quarantined and recomputed, never raised."""
 
-    def _seed_entry(self, path, fig2_result):
-        cache = SimulationCache(path)
-        system = fig2_result.distributed_system()
-        model = BernoulliCompletion(p=0.5)
-        first = simulate_cached(
-            system, fig2_result.bound, model, cache=cache, seed=2
-        )
-        key = cache.key(
-            system, fig2_result.bound, model, seed=2, iterations=1
-        )
-        return first, key, os.path.join(path, f"{key}.json")
-
-    def test_truncated_file_is_a_miss_not_an_error(
-        self, tmp_path, fig2_result
-    ):
-        # regression: a truncated entry used to raise JSONDecodeError
-        # out of get(); now it is quarantined and recomputed
-        path = str(tmp_path / "simcache")
-        first, key, file_path = self._seed_entry(path, fig2_result)
-        with open(file_path) as handle:
-            blob = handle.read()
-        with open(file_path, "w") as handle:
-            handle.write(blob[: len(blob) // 2])
-        fresh = SimulationCache(path)
-        assert fresh.get(key) is None
-        assert fresh.quarantined == 1
-        assert os.path.exists(file_path + ".corrupt")
-        model = BernoulliCompletion(p=0.5)
-        recomputed = simulate_cached(
-            fig2_result.distributed_system(), fig2_result.bound, model,
-            cache=fresh, seed=2,
-        )
-        assert recomputed == first
-        assert SimulationCache(path).get(key) == first
-
-    def test_checksum_mismatch_quarantined(self, tmp_path, fig2_result):
+    def test_synthesis_cache_truncated_entry_heals(self, tmp_path):
         import json
 
-        path = str(tmp_path / "simcache")
-        _, key, file_path = self._seed_entry(path, fig2_result)
-        with open(file_path) as handle:
-            data = json.load(handle)
-        data["payload"]["cycles"] = data["payload"]["cycles"] + 1
-        with open(file_path, "w") as handle:
-            json.dump(data, handle)
-        fresh = SimulationCache(path)
-        assert fresh.get(key) is None
-        assert fresh.quarantined == 1
-
-    def test_quarantine_reports_to_ambient_report(
-        self, tmp_path, fig2_result
-    ):
+        from repro.perf.cache import SynthesisCache
         from repro.runtime import active_report
 
-        path = str(tmp_path / "simcache")
-        _, key, file_path = self._seed_entry(path, fig2_result)
-        with open(file_path, "w") as handle:
-            handle.write("not json at all")
-        with active_report() as report:
-            assert SimulationCache(path).get(key) is None
-        assert report.count("cache-quarantine") == 1
+        def tampered(text):
+            # still JSON, but the payload no longer matches its checksum
+            data = json.loads(text)
+            data["payload"]["artifact"].append(4)
+            return json.dumps(data)
 
-    def test_synthesis_cache_truncated_entry_heals(self, tmp_path):
-        from repro.perf.cache import SynthesisCache
-
-        path = str(tmp_path / "syncache")
-        cache = SynthesisCache(path)
-        key = SynthesisCache.key("schedule", {"dfg": "abc"}, {"opt": 1})
-        cache.put(key, {"artifact": [1, 2, 3]})
-        file_path = os.path.join(path, f"{key}.syn.json")
-        with open(file_path, "w") as handle:
-            handle.write('{"sha256": "dead')
-        fresh = SynthesisCache(path)
-        assert fresh.get(key) is None
-        assert fresh.quarantined == 1
-        fresh.put(key, {"artifact": [1, 2, 3]})
-        assert SynthesisCache(path).get(key) == {"artifact": [1, 2, 3]}
+        corruptions = {
+            # regression: a truncated entry used to raise
+            # JSONDecodeError out of get()
+            "truncated": lambda text: '{"sha256": "dead',
+            "checksum-mismatch": tampered,
+        }
+        for name, corrupt in corruptions.items():
+            path = str(tmp_path / name)
+            cache = SynthesisCache(path)
+            key = SynthesisCache.key("schedule", {"dfg": "abc"}, {"opt": 1})
+            cache.put(key, {"artifact": [1, 2, 3]})
+            file_path = os.path.join(path, f"{key}.syn.json")
+            with open(file_path) as handle:
+                text = handle.read()
+            with open(file_path, "w") as handle:
+                handle.write(corrupt(text))
+            fresh = SynthesisCache(path)
+            with active_report() as report:
+                assert fresh.get(key) is None, name
+            assert fresh.quarantined == 1, name
+            assert report.count("cache-quarantine") == 1, name
+            assert os.path.exists(file_path + ".corrupt"), name
+            fresh.put(key, {"artifact": [1, 2, 3]})
+            assert SynthesisCache(path).get(key) == {"artifact": [1, 2, 3]}
 
     def test_legacy_bare_payload_still_readable(self, tmp_path):
         import json

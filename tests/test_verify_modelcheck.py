@@ -24,13 +24,14 @@ from repro.errors import (
 from repro.fsm.signals import is_unit_completion
 from repro.pipeline.manager import run_synthesis_pipeline
 from repro.sim.stimulus import CounterexampleStimulus
-from repro.verify import LintTarget, run_selftest
+from repro.verify import LintTarget
 from repro.verify.modelcheck import (
     check_benchmark,
     check_result,
     check_target,
 )
-from repro.verify.selftest import STRUCTURAL_FAULTS
+
+from structural_faults import STRUCTURAL_FAULTS, run_selftest
 
 #: the committed generated-family designs (full canonical names).
 GEN_DESIGNS = (

@@ -16,20 +16,24 @@ from repro.fsm.model import FSM, make_transition
 from repro.verify import (
     RULES,
     LintTarget,
-    covered_fault_kinds,
-    injector_fault_kinds,
     lint_fsm,
     lint_target,
     rule,
     rule_table,
-    run_selftest,
 )
 from repro.verify.fsm_checks import check_fsms
 from repro.verify.liveness import check_liveness
 from repro.verify.rtl import check_rtl, fsm_comb_dependencies, parse_verilog
 from repro.verify.rules import diag
 from repro.verify.schedule_checks import check_schedule
-from repro.verify.selftest import STRUCTURAL_FAULTS, _raw_schedule
+
+from structural_faults import (
+    STRUCTURAL_FAULTS,
+    _raw_schedule,
+    covered_fault_kinds,
+    injector_fault_kinds,
+    run_selftest,
+)
 
 
 @pytest.fixture(scope="module")
