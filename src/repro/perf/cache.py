@@ -255,28 +255,72 @@ def _quarantine_entry(cache, file_path: str, reason: str) -> None:
     )
 
 
+#: the frame of the canonical envelope :func:`_write_entry` writes:
+#: ``{"payload":<payload text>,"sha256":"<64 hex digits>"}``
+_ENVELOPE_HEAD = '{"payload":'
+_ENVELOPE_TAIL = ',"sha256":"'
+_ENVELOPE_TAIL_LEN = len(_ENVELOPE_TAIL) + 64 + len('"}')
+
+#: "no verified canonical envelope here" (a payload may be ``null``)
+_UNVERIFIED = object()
+
+
+def _verified_slice(text: str) -> object:
+    """The payload of a canonical envelope whose stored slice verifies.
+
+    The payload text sits between a fixed head and tail, so it is hashed
+    as stored and parsed once.  Anything else — another shape, a slice
+    that fails its hash or does not parse — returns ``_UNVERIFIED``.
+    """
+    if not text.startswith(_ENVELOPE_HEAD) or not text.endswith('"}'):
+        return _UNVERIFIED
+    tail = text[-_ENVELOPE_TAIL_LEN:]
+    body = text[len(_ENVELOPE_HEAD) : -_ENVELOPE_TAIL_LEN]
+    if not tail.startswith(_ENVELOPE_TAIL):
+        return _UNVERIFIED
+    digest = tail[len(_ENVELOPE_TAIL) : -2]
+    if hashlib.sha256(body.encode()).hexdigest() != digest:
+        return _UNVERIFIED
+    try:
+        return json.loads(body)
+    except ValueError:
+        return _UNVERIFIED
+
+
 def _read_entry(cache, file_path: str) -> "object | None":
     """Verified payload of one cache file, or ``None`` (miss).
 
+    A canonical envelope, the text :func:`_write_entry` writes, is
+    verified on its stored payload slice.  Any other file is parsed
+    whole and its payload re-serialized for the checksum: a
+    hand-written envelope, a legacy bare payload, or a canonical one
+    whose slice fails (so a corrupt entry is judged exactly as before).
     Corruption of any shape — unreadable bytes, truncated JSON, a
     failing checksum — quarantines the file instead of raising.
     """
     try:
         with open(file_path) as handle:
-            data = json.load(handle)
+            text = handle.read()
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, UnicodeDecodeError):
+    except (OSError, UnicodeDecodeError):
+        _quarantine_entry(cache, file_path, "is unreadable or truncated")
+        return None
+    payload = _verified_slice(text)
+    if payload is not _UNVERIFIED:
+        return payload
+    try:
+        data = json.loads(text)
+    except ValueError:
         _quarantine_entry(cache, file_path, "is unreadable or truncated")
         return None
     if (
         isinstance(data, dict)
         and set(data.keys()) == {"sha256", "payload"}
     ):
-        text = json.dumps(
-            data["payload"], sort_keys=True, separators=(",", ":")
-        )
-        digest = hashlib.sha256(text.encode()).hexdigest()
+        digest = hashlib.sha256(
+            _canonical_text(data["payload"]).encode()
+        ).hexdigest()
         if digest != data["sha256"]:
             _quarantine_entry(cache, file_path, "failed its checksum")
             return None

@@ -21,17 +21,20 @@ with trial-major numpy arrays:
   more draws per trial regenerates the block wider, with the same
   leading columns.
 * **Transition memo.**  The cycle step is driven by the *real*
+  controller network — the packed-word kernel behind
   :meth:`~repro.sim.controllers.ControllerSystem.step` — but a system
   only ever visits a few thousand distinct ``(config, completion
-  flags)`` pairs, so each is expanded once into dense row tables
-  (next config id, per-unit keep masks, completed-op bitmask, started
-  ops) and every cycle becomes a handful of array gathers across all
-  live trials.  The memo persists on the :class:`BatchSimulator`, and
-  :func:`shared_engine` keeps one engine per live system object, so
-  only calls on the same engine or the same system object reuse it.
-  ``SynthesisResult.monte_carlo_latency`` builds a fresh system per
-  call, so each of its calls starts with a cold memo (but a shared
-  stream block).
+  flags)`` pairs, so each is expanded once into row tables (next config
+  id, per-unit keep masks, completed-op bitmask, started ops) and every
+  cycle becomes a handful of array gathers across all live trials.  A
+  miss calls the kernel directly on the config's states and flag word
+  (configs are interned as ``(states, flag word)``) and writes the row
+  into preallocated arrays that double when full.  The memo persists on
+  the :class:`BatchSimulator`, and :func:`shared_engine` keeps one
+  engine per live system object, so only calls on the same engine or
+  the same system object reuse it.  ``SynthesisResult.monte_carlo_latency``
+  builds a fresh system per call, so each of its calls starts with a
+  cold memo (but a shared stream block).
 * **Bitvector completion tracking.**  Completed ops accumulate into one
   int64 bitmask per trial; a trial finishes the cycle its mask covers
   every operation, matching the scalar first-iteration latency
@@ -277,8 +280,8 @@ class BatchSimulator:
     kept across :meth:`latencies` calls on this engine.  Reuse needs the
     same engine object (or, through :func:`shared_engine`, the same
     system object): an engine built for a fresh system expands every
-    pair it visits again, through
-    :meth:`~repro.sim.controllers.ControllerSystem.step`.
+    pair it visits again, through the system's stepping kernel (the one
+    behind :meth:`~repro.sim.controllers.ControllerSystem.step`).
     """
 
     def __init__(
@@ -320,16 +323,25 @@ class BatchSimulator:
         self.max_cycles = 16 + 4 * sum(
             bound.duration_cycles(op, fast=False) for op in ops
         )
-        # persistent transition memo: one row per (config, flags) pair
+        # persistent transition memo: one row per (config, flags) pair,
+        # configs interned as (states, flag word); the system is reached
+        # through ``self.system`` only (a proxy when shared), so the
+        # engine never keeps it alive
         self._config_ids: dict = {}
         self._configs: list = []
-        self._next_config: list[int] = []
-        self._keep_rows: list = []
-        self._done_rows: list[int] = []
-        self._start_rows: list = []
+        # the system's C bit of each engine flag bit (sorted units)
+        self._unit_c_bits = tuple(
+            (1 << u, system._unit_bit[unit])
+            for u, unit in enumerate(units)
+            if unit in system._unit_bit
+        )
+        self._memo_rows = 0
+        self._grow_rows(64)
         self._rowtab = self._new_rowtab(1 << self.U)
-        self._tables_cache = None
-        self.init_config = self._intern(system.initial_config())
+        initial = system.initial_config()
+        self.init_config = self._intern(
+            (initial.states, system._flag_word(initial.flags))
+        )
         self.init_starts = sorted(system.initial_starts())
         # draws per trial: one per telescopic start, including the
         # wrap-around second-iteration starts observed before the last
@@ -366,48 +378,58 @@ class BatchSimulator:
             self._configs.append(config)
         return row
 
+    def _grow_rows(self, capacity: int) -> None:
+        """Row tables of ``capacity`` rows, keeping the rows so far."""
+        tables = (
+            _np.empty(capacity, dtype=_np.int64),  # next config id
+            _np.ones((capacity, self.U), dtype=bool),  # unit keeps running
+            _np.empty(capacity, dtype=_np.int64),  # completed-op bits
+            _np.zeros((capacity, self.N), dtype=bool),  # started ops
+            _np.zeros(capacity, dtype=bool),  # any op started
+        )
+        if self._memo_rows:
+            for new, old in zip(tables, self._row_tables):
+                new[: self._memo_rows] = old[: self._memo_rows]
+        self._row_tables = tables
+
     def _expand(self, key: int) -> None:
         """Memoize one ``(config, completion flags)`` transition."""
-        config_id = key >> self.U
         flag_bits = key & ((1 << self.U) - 1)
-        unit_completions = {
-            self.units[u]: bool(flag_bits >> u & 1) for u in range(self.U)
-        }
-        step = self.system.step(
-            self._configs[config_id], unit_completions
+        c_word = 0
+        for unit_bit, c_bit in self._unit_c_bits:
+            if flag_bits & unit_bit:
+                c_word |= c_bit
+        states, flag_word = self._configs[key >> self.U]
+        next_states, next_flags, _, started, completed, _, _ = (
+            self.system._kernel(states, c_word, flag_word)
         )
-        keep = _np.ones(self.U, dtype=bool)
-        done_bits = 0
-        for op in step.completes:
-            keep[self.unit_arr[self.opi[op]]] = False
-            done_bits |= 1 << self.opi[op]
-        starts = _np.zeros(self.N, dtype=bool)
-        for op in step.starts:
-            starts[self.opi[op]] = True
-        next_config = self._intern(step.config)
-        self._next_config.append(next_config)
-        self._keep_rows.append(keep)
-        self._done_rows.append(done_bits)
-        self._start_rows.append(starts)
-        self._rowtab[key] = len(self._next_config) - 1
-        self._tables_cache = None
+        next_config = self._intern((next_states, next_flags))
+        row = self._memo_rows
+        if row == self._row_tables[0].shape[0]:
+            self._grow_rows(2 * row)
+        next_ids, keep, done, start, any_start = self._row_tables
+        next_ids[row] = next_config
+        done[row] = completed
+        while completed:
+            low = completed & -completed
+            keep[row, self.unit_arr[low.bit_length() - 1]] = False
+            completed ^= low
+        any_start[row] = started != 0
+        while started:
+            low = started & -started
+            start[row, low.bit_length() - 1] = True
+            started ^= low
+        self._rowtab[key] = row
+        self._memo_rows = row + 1
 
     def _tables(self):
-        if self._tables_cache is None:
-            start_matrix = _np.array(self._start_rows)
-            self._tables_cache = (
-                _np.array(self._next_config, dtype=_np.int64),
-                _np.array(self._keep_rows),
-                _np.array(self._done_rows, dtype=_np.int64),
-                start_matrix,
-                start_matrix.any(axis=1),
-            )
-        return self._tables_cache
+        """The row tables, as views of the rows expanded so far."""
+        return tuple(table[: self._memo_rows] for table in self._row_tables)
 
     @property
     def memo_size(self) -> int:
         """Distinct ``(config, flags)`` transitions expanded so far."""
-        return len(self._next_config)
+        return self._memo_rows
 
     # -- simulation ------------------------------------------------------
 

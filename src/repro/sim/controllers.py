@@ -23,19 +23,30 @@ A structural property makes one-pass pulse resolution sound: a controller's
 does).  Algorithm 1 produces only such FSMs; the step function verifies the
 property at run time and fails loudly otherwise.
 
+One stepping kernel, :meth:`ControllerSystem._kernel`, runs the network
+on packed words: the ``C_<unit>`` values, the latched flags, the pulses
+and the op sets are integers whose bit positions the system fixes in its
+constructor.  Each controller contributes one row per distinct valuation
+of the bits it reads — its transition, the ops it pulses, the latches its
+starts consume, the ops it starts and completes — filled on first use
+through ``FSM.step`` and kept on the system, so a step is one dict lookup
+per controller and a few integer operations for the latches.
+
 Purity also makes every fault-free step a function of the configuration and
 the ``C_<unit>`` values the controllers read, so
 :meth:`ControllerSystem.transition` serves repeated steps from one interned
 table.  Callers that replay many trials of one design (the simulator, fault
-campaigns) read through it; callers that visit each key once (the model
-checker, the CENT product builder, the batch engine's memo) call
-:meth:`ControllerSystem.step` directly.
+campaigns) read through it; the model checker, the CENT product builder
+and the fault wrapper's glitched re-steps call
+:meth:`ControllerSystem.step`, which packs its arguments for the kernel
+and unpacks the result; the batch engine's memo calls the kernel itself
+and keeps the words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Any
 
 from ..binding.binder import BoundDataflowGraph
@@ -88,6 +99,18 @@ class SystemStep:
     emitters: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
+#: the attributes a system fills as it steps; pickling drops them
+_LAZY = (
+    "_table", "_shared", "_rows", "_flag_sets", "_flag_words", "_op_sets"
+)
+
+# Fields of a kernel row, one controller's step from one input valuation:
+# its transition, pulse word (the ops its CC outputs pulse), consumed-edge
+# word (the latch edges its starts consume), started-op and completed-op
+# bits, and the ops its CC outputs name.
+_TRANSITION, _PULSES, _CONSUMED, _STARTED, _COMPLETED, _EMITTED = range(6)
+
+
 class ControllerSystem:
     """A fixed set of controller FSMs plus the completion-latch wiring.
 
@@ -97,9 +120,10 @@ class ControllerSystem:
     it from a bound graph.
 
     The system owns one table of fault-free transitions, filled by
-    :meth:`transition`.  It lives as long as the system object, so reuse
-    the object to reuse the table; pickling (e.g. shipping the system to a
-    pool worker) drops it.
+    :meth:`transition`, and the kernel's per-controller rows and interned
+    flag and op sets, filled by every step.  They live as long as the
+    system object, so reuse the object to reuse them; pickling (e.g.
+    shipping the system to a pool worker) drops them.
     """
 
     def __init__(
@@ -128,14 +152,6 @@ class ControllerSystem:
             for producer, consumers in sorted(edges[key].items())
             for consumer in consumers
         )
-        # the latch edges a start consumes, per controller and started op
-        self._consumed_edges: dict[str, dict[str, tuple]] = {
-            key: {} for key in self._keys
-        }
-        for edge in self._dependence_edges:
-            key, consumer, _ = edge
-            per_op = self._consumed_edges[key]
-            per_op[consumer] = per_op.get(consumer, ()) + (edge,)
         # Per-state query op: which consumer's tokens a state's CC guards
         # examine.  Must be unique per state (Algorithm 1 guarantees it).
         self._state_query: dict[str, dict[str, "str | None"]] = {}
@@ -206,17 +222,106 @@ class ControllerSystem:
         self._read_units = tuple(
             unit_of_completion(s) for s in self.unit_completion_inputs()
         )
+        self._pack_layout()
         self._clear_table()
+
+    def _pack_layout(self) -> None:
+        """Bit positions and masks of the packed words :meth:`_kernel` reads.
+
+        One bit per ``C_<unit>`` value some controller reads, per latch
+        edge (the dependence edges in the low bits, then every probe
+        edge that is not one) and per op whose ``CC`` net a controller
+        drives or reads; op-set words use ``sorted(all_ops())`` order.
+        """
+        self._unit_bit = {
+            unit: 1 << i for i, unit in enumerate(self._read_units)
+        }
+        edges = dict.fromkeys(self._dependence_edges)
+        for key in self._keys:
+            for probes in self._cc_probes[key].values():
+                edges.update(
+                    (edge, None) for _, _, edge in probes if edge is not None
+                )
+        self._edges = tuple(edges)
+        self._edge_bit = {edge: 1 << i for i, edge in enumerate(self._edges)}
+        self._latch_mask = (1 << len(self._dependence_edges)) - 1
+        producers = set(self._emitted_op.values())
+        producers.update(p for _, _, p in self._dependence_edges)
+        for key in self._keys:
+            producers.update(p for _, p, _ in self._cc_probes[key][None])
+        self._producer_bit = {
+            op: 1 << i for i, op in enumerate(sorted(producers))
+        }
+        # per producer bit, the latch edges its pulse reaches
+        self._pulse_edges = dict.fromkeys(self._producer_bit.values(), 0)
+        for edge in self._dependence_edges:
+            self._pulse_edges[self._producer_bit[edge[2]]] |= (
+                self._edge_bit[edge]
+            )
+        self._op_names = tuple(sorted(self._all_ops))
+        self._op_bit = {op: 1 << i for i, op in enumerate(self._op_names)}
+        # the latch edges a start consumes, per controller and started op
+        self._consumed_masks: dict[str, dict[str, int]] = {
+            key: {} for key in self._keys
+        }
+        for edge in self._dependence_edges:
+            key, consumer, _ = edge
+            masks = self._consumed_masks[key]
+            masks[consumer] = masks.get(consumer, 0) | self._edge_bit[edge]
+        # per controller: its key, C mask, flag mask per queried state
+        # (the probe edges of the state's query op) and pulse mask
+        packed = []
+        for key in self._keys:
+            query_masks = {
+                query: self._mask(self._edge_bit, (e for _, _, e in probes))
+                for query, probes in self._cc_probes[key].items()
+                if query is not None
+            }
+            packed.append(
+                (
+                    key,
+                    self._mask(
+                        self._unit_bit, (u for _, u in self._ct_pairs[key])
+                    ),
+                    {
+                        state: query_masks[query]
+                        for state, query in self._state_query[key].items()
+                        if query is not None
+                    },
+                    self._mask(
+                        self._producer_bit,
+                        (p for _, p, _ in self._cc_probes[key][None]),
+                    ),
+                )
+            )
+        self._packed = tuple(packed)
+
+    @staticmethod
+    def _mask(bits: Mapping[Any, int], names: Iterable[Any]) -> int:
+        mask = 0
+        for name in names:
+            mask |= bits[name]
+        return mask
 
     def _clear_table(self) -> None:
         self._table: dict[tuple, SystemStep] = {}
         # canonical instance of every config, frozenset and tuple the
         # table holds, so equal values across entries are one object
         self._shared: dict[Hashable, Any] = {}
+        # the kernel's rows, one dict per controller, the interned flag
+        # set of each flag word (and the word of each flag set seen) and
+        # the interned op set of each op word
+        self._rows: tuple[dict[tuple, tuple], ...] = tuple(
+            {} for _ in self._keys
+        )
+        self._flag_sets: dict[int, frozenset] = {0: frozenset()}
+        self._flag_words: dict[frozenset, int] = {frozenset(): 0}
+        self._op_sets: dict[int, frozenset[str]] = {0: frozenset()}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_table"], state["_shared"]
+        for name in _LAZY:
+            del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -288,89 +393,225 @@ class ControllerSystem:
         pulse is emitted by its FSM but reaches no consumer and no latch
         this cycle; an injected producer pulses spuriously.  Both default
         to empty (the fault-free wire); :mod:`repro.faults` drives them.
-        The step function stays pure — no internal state is mutated.
+        The step function stays pure: the result depends on the arguments
+        alone (the kernel's rows only memoize controller transitions).
+
+        This packs its arguments into words, runs :meth:`_kernel` and
+        unpacks the result.
         """
-        flags = config.flags
-        # Pass 1: outputs (hence CC pulses) with flag-only CC inputs.
-        emitters: dict[str, tuple[str, ...]] = {}
-        queries: list["str | None"] = []
-        pass1_transitions: list = []
-        for key, state in zip(self._keys, config.states):
-            query = self._state_query[key].get(state)
-            inputs = self._inputs_for(
-                key, query, flags, frozenset(), unit_completions
+        c_word = 0
+        for unit, bit in self._unit_bit.items():
+            if unit_completions.get(unit):
+                c_word |= bit
+        states, flags, overruns, started, completed, first, second = (
+            self._kernel(
+                config.states,
+                c_word,
+                self._flag_word(config.flags),
+                self._producer_word(suppress_pulses),
+                self._producer_word(inject_pulses),
             )
-            transition = self._fsms[key].step(state, inputs)
-            queries.append(query)
-            pass1_transitions.append(transition)
-            for signal in transition.outputs:
-                op = self._emitted_op.get(signal)
-                if op is not None:
-                    emitters[op] = emitters.get(op, ()) + (key,)
-        pulses = set(emitters)
-        pulses -= suppress_pulses
-        pulses |= inject_pulses
-        # Pass 2: state choice with pulse-or-flag CC inputs.  A state
-        # whose guards reference no completion signal (query op is None)
-        # matches the same transition under any CC valuation, so pass 1's
-        # answer is reused — most controllers spend most cycles in such
-        # states (counting down C_<unit>), making this the common case.
-        next_states: list[str] = []
-        outputs: set[str] = set()
-        starts: set[str] = set()
-        completes: set[str] = set()
-        consumed: set[tuple[str, str, str]] = set()
-        pulse_set = frozenset(pulses)
-        for key, state, query, first in zip(
-            self._keys, config.states, queries, pass1_transitions
+        )
+        emitters: dict[str, tuple[str, ...]] = {}
+        for key, row in zip(self._keys, first):
+            for op in row[_EMITTED]:
+                emitters[op] = emitters.get(op, ()) + (key,)
+        return SystemStep(
+            config=SystemConfig(states=states, flags=self._flag_set(flags)),
+            outputs=frozenset().union(
+                *[row[_TRANSITION].outputs for row in second]
+            ),
+            starts=self._op_set(started),
+            completes=self._op_set(completed),
+            overruns=frozenset(self._edges_of(overruns)),
+            emitters=tuple(sorted(emitters.items())),
+        )
+
+    def _kernel(
+        self,
+        states: tuple[str, ...],
+        c_word: int,
+        flag_word: int,
+        suppress: int = 0,
+        inject: int = 0,
+    ) -> tuple:
+        """One clock edge of the whole network on packed words.
+
+        ``c_word`` holds the ``C_<unit>`` values, ``flag_word`` the
+        latched arrival flags and ``suppress``/``inject`` the glitched
+        producers, in the bit positions of :meth:`_pack_layout`.
+
+        Pass 1 looks up each controller's row with its ``CC`` inputs
+        reading the latches only; the rows' pulse words, less
+        ``suppress``, plus ``inject``, are the pulses of the cycle.  Pass
+        2 re-reads a controller in a state whose guards query completion
+        tokens, its ``CC`` inputs now reading pulse or latch; a state
+        that queries nothing takes the same transition under any ``CC``
+        valuation, so pass 1's row is reused.  Outputs are decided in
+        pass 1 alone, which is sound only because they never depend on
+        ``CC`` inputs: pass 2 checks that on every call.  The latch
+        update then runs per dependence edge, as words: a consumption
+        eats exactly one token, so a pulse that coincides with the
+        consumption of the latched token survives, and a pulse hitting
+        an unconsumed latched token is a (reported) overrun.
+
+        Returns ``(next states, next flag word, overrun word, started-op
+        bits, completed-op bits, pass-1 rows, pass-2 rows)``.  :meth:`step`
+        unpacks them into a :class:`SystemStep`; the batch engine
+        (:mod:`repro.sim.batch`) keeps the words as they are.
+        """
+        rows_of = self._rows
+        first = []
+        pulse = 0
+        for (key, c_mask, flag_masks, _), rows, state in zip(
+            self._packed, rows_of, states
         ):
-            if query is None:
-                transition = first
-            else:
-                inputs = self._inputs_for(
-                    key, query, flags, pulse_set, unit_completions
+            row_key = (
+                state,
+                c_word & c_mask,
+                flag_word & flag_masks.get(state, 0),
+                0,
+            )
+            row = rows.get(row_key)
+            if row is None:
+                row = self._fill(key, rows, row_key)
+            pulse |= row[_PULSES]
+            first.append(row)
+        pulse = (pulse & ~suppress) | inject
+        consumed = started = completed = 0
+        second = []
+        for (key, c_mask, flag_masks, p_mask), rows, state, row in zip(
+            self._packed, rows_of, states, first
+        ):
+            flag_mask = flag_masks.get(state)
+            if flag_mask is not None and pulse & p_mask:
+                row_key = (
+                    state,
+                    c_word & c_mask,
+                    flag_word & flag_mask,
+                    pulse & p_mask,
                 )
-                transition = self._fsms[key].step(state, inputs)
-                if transition.outputs != first.outputs:
+                outputs = row[_TRANSITION].outputs
+                row = rows.get(row_key)
+                if row is None:
+                    row = self._fill(key, rows, row_key)
+                if row[_TRANSITION].outputs != outputs:
                     raise SimulationError(
                         f"controller {key!r}: outputs depend on completion "
                         f"inputs (state {state!r}); the one-pass pulse "
                         f"resolution is unsound for this FSM"
                     )
-            next_states.append(transition.target)
-            outputs |= transition.outputs
-            starts |= transition.starts
-            completes |= transition.completes
-            consumes = self._consumed_edges[key]
-            for op in transition.starts:
-                consumed.update(consumes.get(op, ()))
-        # Latch update per dependence edge: a consumption eats exactly one
-        # token; a pulse that coincides with a consumption of the
-        # previously latched token therefore survives, and a pulse hitting
-        # an unconsumed latched token is a (reported) overrun.
-        new_flags: set[tuple[str, str, str]] = set()
-        overruns: set[tuple[str, str, str]] = set()
-        for edge in self._dependence_edges:
-            pulsed = edge[2] in pulse_set
-            had = edge in flags
-            if edge in consumed:
-                remains = had and pulsed
-            else:
-                remains = had or pulsed
-                if had and pulsed:
-                    overruns.add(edge)
-            if remains:
-                new_flags.add(edge)
-        return SystemStep(
-            config=SystemConfig(
-                states=tuple(next_states), flags=frozenset(new_flags)
-            ),
-            outputs=frozenset(outputs),
-            starts=frozenset(starts),
-            completes=frozenset(completes),
-            overruns=frozenset(overruns),
-            emitters=tuple(sorted(emitters.items())),
+            consumed |= row[_CONSUMED]
+            started |= row[_STARTED]
+            completed |= row[_COMPLETED]
+            second.append(row)
+        pulsed = 0
+        bits = pulse
+        while bits:
+            low = bits & -bits
+            pulsed |= self._pulse_edges[low]
+            bits ^= low
+        had = flag_word
+        remains = (had & pulsed & consumed) | ((had | pulsed) & ~consumed)
+        return (
+            tuple([row[_TRANSITION].target for row in second]),
+            remains & self._latch_mask,
+            had & pulsed & ~consumed,
+            started,
+            completed,
+            first,
+            second,
         )
+
+    def _fill(self, key: str, rows: dict, row_key: tuple) -> tuple:
+        """Compute, store and return one controller's kernel row.
+
+        ``row_key`` is ``(state, C bits, flag bits, pulse bits)`` under
+        the controller's masks; the transition comes from ``FSM.step`` on
+        the input valuation those bits spell.  A step that raises is not
+        stored, so the same key raises again on the next call.
+        """
+        state, c_bits, flag_bits, pulse_bits = row_key
+        query = self._state_query[key].get(state)
+        probes = self._cc_probes[key][query]
+        inputs = self._inputs_for(
+            key,
+            query,
+            frozenset(
+                edge
+                for _, _, edge in probes
+                if edge is not None and flag_bits & self._edge_bit[edge]
+            ),
+            frozenset(
+                p for _, p, _ in probes if pulse_bits & self._producer_bit[p]
+            ),
+            {
+                unit: bool(c_bits & self._unit_bit[unit])
+                for _, unit in self._ct_pairs[key]
+            },
+        )
+        transition = self._fsms[key].step(state, inputs)
+        emitted = tuple(
+            self._emitted_op[s]
+            for s in sorted(transition.outputs)
+            if s in self._emitted_op
+        )
+        consumes = self._consumed_masks[key]
+        row = (
+            transition,
+            self._mask(self._producer_bit, emitted),
+            self._mask(
+                consumes, (o for o in transition.starts if o in consumes)
+            ),
+            self._mask(self._op_bit, transition.starts),
+            self._mask(self._op_bit, transition.completes),
+            emitted,
+        )
+        rows[row_key] = row
+        return row
+
+    # -- packing ---------------------------------------------------------
+    def _flag_word(self, flags: frozenset) -> int:
+        """The flag word of a flag set (edges outside the layout drop)."""
+        word = self._flag_words.get(flags)
+        if word is None:
+            word = self._mask(
+                self._edge_bit, (e for e in flags if e in self._edge_bit)
+            )
+            self._flag_words[flags] = word
+        return word
+
+    def _flag_set(self, word: int) -> frozenset:
+        """The interned flag set of a flag word."""
+        flags = self._flag_sets.get(word)
+        if flags is None:
+            flags = self._flag_sets[word] = frozenset(self._edges_of(word))
+            self._flag_words.setdefault(flags, word)
+        return flags
+
+    def _edges_of(self, word: int) -> Iterator[tuple[str, str, str]]:
+        while word:
+            low = word & -word
+            yield self._edges[low.bit_length() - 1]
+            word ^= low
+
+    def _producer_word(self, ops: frozenset[str]) -> int:
+        """The pulse word of a producer set (ops nothing reads drop)."""
+        if not ops:
+            return 0
+        return self._mask(
+            self._producer_bit, (o for o in ops if o in self._producer_bit)
+        )
+
+    def _op_set(self, word: int) -> frozenset[str]:
+        """The interned op set of an op word (``sorted(all_ops())`` bits)."""
+        ops = self._op_sets.get(word)
+        if ops is None:
+            names = self._op_names
+            ops = self._op_sets[word] = frozenset(
+                names[i] for i in range(word.bit_length()) if word >> i & 1
+            )
+        return ops
 
     def transition(
         self, config: SystemConfig, unit_completions: Mapping[str, bool]

@@ -211,13 +211,23 @@ class TestSelfHealingCaches:
             data["payload"]["artifact"].append(4)
             return json.dumps(data)
 
+        def flipped(text):
+            # the canonical envelope with one payload byte changed; the
+            # payload still parses, but not to what was hashed
+            assert text.startswith('{"payload":{"artifact":[1,2,3]}')
+            return text.replace("[1,2,3]", "[1,2,7]", 1)
+
         corruptions = {
             # regression: a truncated entry used to raise
             # JSONDecodeError out of get()
-            "truncated": lambda text: '{"sha256": "dead',
-            "checksum-mismatch": tampered,
+            "truncated": (
+                lambda text: '{"sha256": "dead',
+                "is unreadable or truncated",
+            ),
+            "checksum-mismatch": (tampered, "failed its checksum"),
+            "flipped-payload-byte": (flipped, "failed its checksum"),
         }
-        for name, corrupt in corruptions.items():
+        for name, (corrupt, reason) in corruptions.items():
             path = str(tmp_path / name)
             cache = SynthesisCache(path)
             key = SynthesisCache.key("schedule", {"dfg": "abc"}, {"opt": 1})
@@ -232,9 +242,29 @@ class TestSelfHealingCaches:
                 assert fresh.get(key) is None, name
             assert fresh.quarantined == 1, name
             assert report.count("cache-quarantine") == 1, name
+            assert reason in report.events[0].detail, name
             assert os.path.exists(file_path + ".corrupt"), name
             fresh.put(key, {"artifact": [1, 2, 3]})
             assert SynthesisCache(path).get(key) == {"artifact": [1, 2, 3]}
+        # an envelope in another JSON layout still verifies: its payload
+        # is re-serialized canonically for the checksum
+        path = str(tmp_path / "non-canonical")
+        key = SynthesisCache.key("schedule", {"dfg": "abc"}, {"opt": 1})
+        SynthesisCache(path).put(key, {"artifact": [1, 2, 3]})
+        file_path = os.path.join(path, f"{key}.syn.json")
+        with open(file_path) as handle:
+            data = json.load(handle)
+        with open(file_path, "w") as handle:
+            json.dump(
+                {"sha256": data["sha256"], "payload": data["payload"]},
+                handle,
+                indent=1,
+            )
+        fresh = SynthesisCache(path)
+        with active_report() as report:
+            assert fresh.get(key) == {"artifact": [1, 2, 3]}
+        assert fresh.quarantined == 0
+        assert report.count("cache-quarantine") == 0
 
     def test_legacy_bare_payload_still_readable(self, tmp_path):
         import json

@@ -138,6 +138,22 @@ class TestEngineReuse:
         assert first == second
         assert engine.memo_size == size_after_first
 
+    @pytest.mark.parametrize(
+        "design, style, rows",
+        [
+            ("fig3_result", "dist", 70),
+            ("fig3_result", "cent-sync", 14),
+            ("many_units_result", "dist", 17),
+            ("many_units_result", "cent-sync", 7),
+        ],
+    )
+    def test_memo_size_pinned(self, request, design, style, rows):
+        """The memo expands exactly the transitions the trials visit."""
+        result = request.getfixturevalue(design)
+        engine = BatchSimulator(result.system(style), result.bound)
+        engine.statistics("markov:0.7,0.5", 4000, 0)
+        assert engine.memo_size == rows
+
     def test_shared_engine_cached_per_system(self, fig3_result):
         system = fig3_result.distributed_system()
         a = shared_engine(system, fig3_result.bound)

@@ -19,6 +19,7 @@ from repro.sim.controllers import (
     single_fsm_system,
     system_from_bound,
 )
+from reference_step import reference_step
 
 
 @pytest.fixture()
@@ -210,16 +211,18 @@ def _glitch_leaves_table_alone(system, config, values, rng):
 
 
 def check_table_against_fresh_step(result, style, seed, walks=6, cycles=40):
-    """Random CSG walks: every table-served step equals a fresh ``step``.
+    """Random CSG walks: every table-served step equals the reference step.
 
-    Every walk restarts at the initial configuration, so later walks
-    replay keys earlier walks stored.  Every seventh cycle also runs a
-    pulse glitch, which must leave the table as it was, and then re-reads
-    the same key fault-free.  An unpickled copy, as a pool worker gets
-    it, must step and serve the table exactly like the original.
+    The reference (``tests/reference_step.py``) recomputes each step from
+    the FSMs with dicts and sets, sharing no code with the kernel behind
+    ``step``.  Every walk restarts at the initial configuration, so later
+    walks replay keys earlier walks stored.  Every seventh cycle also
+    runs a pulse glitch, which must leave the table as it was, and then
+    re-reads the same key fault-free.  An unpickled copy, as a pool
+    worker gets it, must step and serve the table exactly like the
+    original.
     """
     system = result.system(style)
-    fresh = result.system(style)
     cold = pickle.dumps(system)
     copy = pickle.loads(cold)
     rng = random.Random(seed)
@@ -233,13 +236,13 @@ def check_table_against_fresh_step(result, style, seed, walks=6, cycles=40):
         for cycle in range(cycles):
             values = {unit: rng.random() < 0.5 for unit in units}
             step = system.transition(config, values)
-            assert step == fresh.step(config, values)
+            assert step == reference_step(system, config, values)
             assert step == copy.step(config, values)
             assert step == copy.transition(config, values)
             if cycle % 7 == 6:
                 _glitch_leaves_table_alone(system, config, values, rng)
                 again = system.transition(config, values)
-                assert again == fresh.step(config, values)
+                assert again == reference_step(system, config, values)
             config = step.config
     assert system._table
     assert pickle.dumps(system) == cold
