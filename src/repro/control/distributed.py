@@ -17,7 +17,7 @@ system` plugs straight into the cycle-accurate simulator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Mapping
 
 from ..binding.binder import BoundDataflowGraph
@@ -38,6 +38,12 @@ class DistributedControlUnit:
     controllers: Mapping[str, FSM]
     nets: tuple[CompletionNet, ...]
     pruned_signals: tuple[str, ...]
+    # Rendered Verilog per top-module name, filled by
+    # :func:`~repro.control.verilog_top.distributed_to_verilog`; a
+    # ``dataclasses.replace`` copy starts empty and renders afresh.
+    _verilog: dict[str, str] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     # -- structure ---------------------------------------------------------
     @property

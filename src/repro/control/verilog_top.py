@@ -48,7 +48,19 @@ def controller_module_names(
 def distributed_to_verilog(
     unit: DistributedControlUnit, top_name: str = "control_top"
 ) -> str:
-    """Render controller modules plus the wiring top level."""
+    """Controller modules plus the wiring top level, rendered once.
+
+    The text is kept on ``unit`` per ``top_name``: every later call
+    returns the same string, so the RTL lint and the caller that emits
+    the design share one rendering.  A render that raises keeps nothing.
+    """
+    text = unit._verilog.get(top_name)
+    if text is None:
+        text = unit._verilog[top_name] = _render(unit, top_name)
+    return text
+
+
+def _render(unit: DistributedControlUnit, top_name: str) -> str:
     modules = controller_module_names(unit, top_name)
     port_maps = {
         unit_name: fsm_port_map(fsm, include_start_strobes=True)

@@ -36,11 +36,11 @@ Purity also makes every fault-free step a function of the configuration and
 the ``C_<unit>`` values the controllers read, so
 :meth:`ControllerSystem.transition` serves repeated steps from one interned
 table.  Callers that replay many trials of one design (the simulator, fault
-campaigns) read through it; the model checker, the CENT product builder
-and the fault wrapper's glitched re-steps call
-:meth:`ControllerSystem.step`, which packs its arguments for the kernel
-and unpacks the result; the batch engine's memo calls the kernel itself
-and keeps the words.
+campaigns) read through it; the CENT product builder and the fault
+wrapper's glitched re-steps call :meth:`ControllerSystem.step`, which
+packs its arguments for the kernel and unpacks the result; the batch
+engine's memo and the model checker call the kernel itself and keep the
+words.
 """
 
 from __future__ import annotations

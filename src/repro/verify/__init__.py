@@ -44,7 +44,6 @@ from .fsm_checks import lint_fsm
 from .modelcheck import (
     DEFAULT_MAX_FRONTIER,
     DEFAULT_MAX_STATES,
-    MCState,
     ModelCheckResult,
     check_benchmark,
     check_result,
@@ -63,7 +62,6 @@ __all__ = [
     "DiagnosticReport",
     "GateResult",
     "LintTarget",
-    "MCState",
     "ModelCheckResult",
     "RULES",
     "Rule",

@@ -35,12 +35,23 @@ operations completed once) are not expanded, and wrap-around restarts
 of already-completed operations are followed at the fast level without
 re-branching — the overlap behavior itself stays visible (latch
 traffic, occupancy), while the state space stays bounded.
+
+The explorer runs on packed words.  A state is a tuple of the
+controller states, the latched-flag word, one sorted integer code per
+busy unit's ``(unit, op, countdown)`` entry and the completed-op word,
+so admitting a state hashes a few ints and one tuple of strings.  Each
+expansion steps the network through exactly one call of the stepping
+kernel (:meth:`ControllerSystem._kernel
+<repro.sim.controllers.ControllerSystem._kernel>`), in the kernel's own
+bit positions, and checks MC-RACE and MC-REF on the words it returns;
+op and edge names are decoded only to word a finding.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING
 
 from ..errors import (
@@ -48,7 +59,7 @@ from ..errors import (
     ModelCheckBudgetExceeded,
     SimulationError,
 )
-from ..sim.controllers import ControllerSystem, SystemConfig
+from ..sim.controllers import _EMITTED, _PULSES, ControllerSystem
 from ..sim.stimulus import CounterexampleStimulus
 from .diagnostics import Diagnostic, DiagnosticReport
 from .rules import diag
@@ -66,22 +77,6 @@ _HINT = (
     "replay the attached counterexample stimulus in the simulator to "
     "observe the runtime failure"
 )
-
-
-@dataclass(frozen=True)
-class MCState:
-    """One explored state of the composed network.
-
-    ``executing`` holds one ``(unit, op, left)`` entry per busy unit:
-    the operation it runs and the clamped countdown until its CSG
-    reports done (``C = left <= 0``).  ``done`` is the set of
-    operations that completed at least once — the implicit CENT-SYNC
-    acceptor state.
-    """
-
-    config: SystemConfig
-    executing: tuple[tuple[str, str, int], ...]
-    done: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -131,8 +126,27 @@ class _Violation:
         self.cex = cex
 
 
+#: one explored state: controller states, flag word, entry codes, done word
+_State = tuple[tuple[str, ...], int, tuple[int, ...], int]
+
+#: a start's choices: per level, its entry code and the choice it records
+_Options = tuple[tuple[int, tuple[str, int] | None], ...]
+
+
 class _Explorer:
-    """BFS over the level-choice-branching network semantics."""
+    """BFS over the level-choice-branching network semantics.
+
+    A state is the tuple ``(controller states, flag word, entries, done
+    word)``.  The flag word holds the latched arrival flags in the
+    kernel's bit positions.  ``entries`` holds one sorted code per busy
+    unit, ``(slot * n_ops + op) * L + left``: the unit's slot in sorted
+    unit order, the bit of the operation it runs and the clamped
+    countdown until its CSG reports done (``C = left <= 0``); ``L``
+    exceeds every countdown, so code order is ``(unit, op, left)``
+    order.  The done word holds the operations that completed at least
+    once — the implicit CENT-SYNC acceptor state.  Op bit ``i`` is
+    ``sorted(all_ops())[i]``, the kernel's own op order.
+    """
 
     def __init__(
         self,
@@ -145,40 +159,63 @@ class _Explorer:
         self.max_frontier = max_frontier
         self.system: ControllerSystem = target.distributed.system()
         bound = target.bound
-        self.ops = tuple(sorted(self.system.all_ops()))
-        op_set = frozenset(self.ops)
-        self.all_done = op_set
-        # The CENT-SYNC partial order: execution-graph predecessors.
-        preds: dict[str, tuple[str, ...]] = {op: () for op in self.ops}
-        for u, v in bound.execution_edges():
-            if u in op_set and v in op_set:
-                preds[v] = preds[v] + (u,)
-        self.preds = {
-            op: tuple(sorted(set(ps))) for op, ps in preds.items()
-        }
-        self.unit_of = {
-            op: bound.unit_of(op).name for op in self.ops
-        }
+        self.ops = ops = tuple(sorted(self.system.all_ops()))
+        n_ops = len(ops)
+        bit = {op: 1 << i for i, op in enumerate(ops)}
+        self.all_done = (1 << n_ops) - 1
+        unit_of = {op: bound.unit_of(op) for op in ops}
         self.levels_of = {
             op: (
-                tuple(range(bound.unit_of(op).num_levels))
-                if bound.unit_of(op).is_telescopic
-                else (0,)
+                tuple(range(unit.num_levels)) if unit.is_telescopic else (0,)
             )
-            for op in self.ops
+            for op, unit in unit_of.items()
         }
-        self.left_of = {
-            (op, level): max(
-                bound.duration_for_level(op, level) - 1, 0
-            )
-            if bound.unit_of(op).is_telescopic
+        left_of = {
+            (op, level): max(bound.duration_for_level(op, level) - 1, 0)
+            if unit_of[op].is_telescopic
             else max(bound.duration_cycles(op, fast=True) - 1, 0)
-            for op in self.ops
+            for op in ops
             for level in self.levels_of[op]
         }
+        # The CENT-SYNC partial order: execution-graph predecessor masks.
+        self.preds = [0] * n_ops
+        for u, v in bound.execution_edges():
+            if u in bit and v in bit:
+                self.preds[ops.index(v)] |= bit[u]
+        self.units = tuple(sorted({unit.name for unit in unit_of.values()}))
+        slot_of = {unit: slot for slot, unit in enumerate(self.units)}
+        self.op_slot = [slot_of[unit_of[op].name] for op in ops]
+        self.L = L = max(left_of.values(), default=0) + 1
+        self.span = n_ops * L
+        # Per op, its entry code and recorded choice per start level (a
+        # choice is recorded only where the level branches); a
+        # wrap-around restart runs at level 0 and records nothing.
+        self.start_options: list[_Options] = [
+            tuple(
+                (
+                    (self.op_slot[i] * n_ops + i) * L + left_of[(op, level)],
+                    (op, level) if len(self.levels_of[op]) > 1 else None,
+                )
+                for level in self.levels_of[op]
+            )
+            for i, op in enumerate(ops)
+        ]
+        self.restart: list[_Options] = [
+            ((options[0][0], None),) for options in self.start_options
+        ]
+        # Per unit slot, the C bit the kernel reads (0: no controller
+        # reads it); per latch-edge bit, the edge and its producer's and
+        # consumer's op bits.
+        self.c_bit = [
+            self.system._unit_bit.get(unit, 0) for unit in self.units
+        ]
+        self.latch = [
+            (edge, bit.get(edge[2], 0), bit.get(edge[1], 0))
+            for edge in self.system._edges
+        ]
         # BFS bookkeeping, indexed by state id (discovery order).
-        self.index: dict[MCState, int] = {}
-        self.states: list[MCState] = []
+        self.index: dict[_State, int] = {}
+        self.states: list[_State] = []
         self.parent: list[int] = []
         self.choices: list[tuple[tuple[str, int], ...]] = []
         self.depth: list[int] = []
@@ -188,6 +225,10 @@ class _Explorer:
         self.transitions = 0
         # First (shortest) violation per (rule, location) key.
         self.found: dict[tuple[str, str], _Violation] = {}
+
+    def _names(self, mask: int) -> list[str]:
+        """The ops of an op word, in bit (name) order."""
+        return [self.ops[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
     # -- counterexample assembly ---------------------------------------
     def _levels_to(self, state_id: int) -> tuple[tuple[str, int], ...]:
@@ -232,7 +273,7 @@ class _Explorer:
     # -- state admission -------------------------------------------------
     def _admit(
         self,
-        state: MCState,
+        state: _State,
         parent: int,
         choices: tuple[tuple[str, int], ...],
         queue: "deque[int]",
@@ -256,7 +297,7 @@ class _Explorer:
         self.choices.append(choices)
         self.depth.append(0 if parent < 0 else self.depth[parent] + 1)
         self.succs.append([])
-        is_accepting = state.done >= self.all_done
+        is_accepting = state[3] == self.all_done
         self.accepting.append(is_accepting)
         if not is_accepting:
             queue.append(state_id)
@@ -273,203 +314,187 @@ class _Explorer:
         return state_id
 
     # -- one-transition semantics ---------------------------------------
-    def _start_ops(
-        self,
-        state_id: int,
-        starts: "tuple[str, ...]",
-        executing: dict[str, tuple[str, int]],
-        done: frozenset[str],
-    ) -> "list[tuple[str, tuple[int, ...]]]":
-        """Validate starts against the spec; return the branch points.
-
-        Returns ``(op, candidate levels)`` for every admissible start;
-        occupancy violations drop the start (the unit keeps its current
-        operation, as the hardware's result register arbitration
-        would).
-        """
-        branch: list[tuple[str, tuple[int, ...]]] = []
-        for op in starts:
-            unit = self.unit_of[op]
-            if unit in executing:
-                busy = executing[unit][0]
-                self._record(
-                    "MC-REF",
-                    f"op:{op}",
-                    f"unit {unit} double-booked: {op} starts while "
-                    f"{busy} is still executing (depth "
-                    f"{self.depth[state_id] + 1})",
-                    state_id,
-                    expects="protocol",
-                )
-                continue
-            if op in done:
-                # Wrap-around restart of the next iteration: follow it
-                # at the fast level without re-branching.
-                branch.append((op, (0,)))
-                continue
-            missing = tuple(
-                p for p in self.preds[op] if p not in done
-            )
-            if missing:
-                self._record(
-                    "MC-REF",
-                    f"op:{op}",
-                    f"{op} starts before execution-graph "
-                    f"predecessor(s) {', '.join(missing)} completed "
-                    f"(depth {self.depth[state_id] + 1}) — the "
-                    f"CENT-SYNC specification refuses this firing "
-                    f"sequence",
-                    state_id,
-                    expects="protocol",
-                )
-            branch.append((op, self.levels_of[op]))
-        return branch
-
     def _expand(self, state_id: int, queue: "deque[int]") -> None:
-        state = self.states[state_id]
-        executing = {
-            unit: (op, left) for unit, op, left in state.executing
-        }
-        unit_completions = {
-            unit: left <= 0
-            for unit, (op, left) in executing.items()
-        }
+        states, flags, entries, done = self.states[state_id]
+        ops, units, op_slot = self.ops, self.units, self.op_slot
+        L, n_ops = self.L, len(ops)
+        # One entry per unit: where two starts double-booked an idle
+        # unit, the later entry is the one that runs.
+        executing = {code // self.span: code for code in entries}
+        c_word = 0
+        for slot, code in executing.items():
+            if not code % L:
+                c_word |= self.c_bit[slot]
         try:
-            step = self.system.step(state.config, unit_completions)
+            next_states, next_flags, overruns, started, completed, rows, _ = (
+                self.system._kernel(states, c_word, flags)
+            )
         except (FSMError, SimulationError) as exc:
             self.wedged[state_id] = str(exc)
             return
         next_depth = self.depth[state_id] + 1
         # MC-RACE (a): two controllers asserting one CC net.
-        for op, keys in step.emitters:
+        pulses = 0
+        for row in rows:
+            if pulses & row[_PULSES]:
+                self._double_drivers(rows, state_id, next_depth)
+                break
+            pulses |= row[_PULSES]
+        # Completions: retire executing entries, feed the acceptor.
+        done_after = done
+        while completed:
+            low = completed & -completed
+            completed ^= low
+            i = low.bit_length() - 1
+            slot = op_slot[i]
+            code = executing.get(slot)
+            if code is None or code // L != slot * n_ops + i:
+                self._record(
+                    "MC-REF",
+                    f"op:{ops[i]}",
+                    f"{ops[i]} completes but unit {units[slot]} is not "
+                    f"executing it (depth {next_depth})",
+                    state_id,
+                    expects="protocol",
+                )
+                continue
+            if code % L:
+                self._record(
+                    "MC-REF",
+                    f"op:{ops[i]}",
+                    f"{ops[i]} completes while unit {units[slot]}'s CSG "
+                    f"still reports not-done ({code % L} cycle(s) left, "
+                    f"depth {next_depth}) — the completion signal lied",
+                    state_id,
+                    expects="protocol",
+                )
+            del executing[slot]
+            done_after |= low
+        if overruns:
+            self._overruns(overruns, done, done_after, state_id, next_depth)
+        # Starts: refinement checks, then branch over telescope levels.
+        # A double-booked start is dropped (the unit keeps its current
+        # operation, as the hardware's result register arbitration
+        # would).
+        options: list[_Options] = []
+        while started:
+            low = started & -started
+            started ^= low
+            i = low.bit_length() - 1
+            busy = executing.get(op_slot[i])
+            if busy is not None:
+                self._record(
+                    "MC-REF",
+                    f"op:{ops[i]}",
+                    f"unit {units[op_slot[i]]} double-booked: {ops[i]} "
+                    f"starts while {ops[busy // L % n_ops]} is still "
+                    f"executing (depth {next_depth})",
+                    state_id,
+                    expects="protocol",
+                )
+                continue
+            if done_after & low:
+                # Wrap-around restart of the next iteration: follow it
+                # at the fast level without re-branching.
+                options.append(self.restart[i])
+                continue
+            missing = self.preds[i] & ~done_after
+            if missing:
+                self._record(
+                    "MC-REF",
+                    f"op:{ops[i]}",
+                    f"{ops[i]} starts before execution-graph "
+                    f"predecessor(s) {', '.join(self._names(missing))} "
+                    f"completed (depth {next_depth}) — the CENT-SYNC "
+                    f"specification refuses this firing sequence",
+                    state_id,
+                    expects="protocol",
+                )
+            options.append(self.start_options[i])
+        survivors = [
+            code - 1 if code % L else code for code in executing.values()
+        ]
+        children = self.succs[state_id]
+        for combo in product(*options):
+            codes = survivors + [code for code, _ in combo]
+            codes.sort()
+            children.append(
+                self._admit(
+                    (next_states, next_flags, tuple(codes), done_after),
+                    state_id,
+                    tuple([choice for _, choice in combo if choice]),
+                    queue,
+                )
+            )
+        self.transitions += len(children)
+
+    def _double_drivers(
+        self, rows: "list[tuple]", state_id: int, depth: int
+    ) -> None:
+        """Name the controllers of every ``CC`` net pulsed twice."""
+        emitters: dict[str, tuple[str, ...]] = {}
+        for key, row in zip(self.system.keys, rows):
+            for op in row[_EMITTED]:
+                emitters[op] = emitters.get(op, ()) + (key,)
+        for op, keys in sorted(emitters.items()):
             if len(keys) > 1:
                 self._record(
                     "MC-RACE",
                     f"net:CC_{op}",
                     f"controllers {', '.join(keys)} all assert CC_{op} "
-                    f"in one reachable cycle (depth {next_depth})",
+                    f"in one reachable cycle (depth {depth})",
                     state_id,
                     expects="protocol",
                 )
-        # Completions: retire executing entries, feed the acceptor.
-        done = set(state.done)
-        for op in sorted(step.completes):
-            unit = self.unit_of[op]
-            record = executing.get(unit)
-            if record is None or record[0] != op:
-                self._record(
-                    "MC-REF",
-                    f"op:{op}",
-                    f"{op} completes but unit {unit} is not executing "
-                    f"it (depth {next_depth})",
-                    state_id,
-                    expects="protocol",
-                )
-                continue
-            if record[1] > 0:
-                self._record(
-                    "MC-REF",
-                    f"op:{op}",
-                    f"{op} completes while unit {unit}'s CSG still "
-                    f"reports not-done ({record[1]} cycle(s) left, "
-                    f"depth {next_depth}) — the completion signal "
-                    f"lied",
-                    state_id,
-                    expects="protocol",
-                )
-            del executing[unit]
-            done.add(op)
-        done_after = frozenset(done)
-        # MC-RACE (b): first-delivery token overrun.  Overruns whose
-        # producer or consumer already completed are legal wrap-around
-        # pipelining artifacts (the simulator merely counts them); a
-        # pulse hitting a latched flag while both endpoints are still
-        # pending is a genuine double delivery within one iteration.
-        for key, consumer, producer in sorted(step.overruns):
-            if producer in state.done or consumer in done_after:
-                continue
+
+    def _overruns(
+        self, word: int, done: int, done_after: int, state_id: int, depth: int
+    ) -> None:
+        """MC-RACE (b): first-delivery token overrun.
+
+        Overruns whose producer or consumer already completed are legal
+        wrap-around pipelining artifacts (the simulator merely counts
+        them); a pulse hitting a latched flag while both endpoints are
+        still pending is a genuine double delivery within one iteration.
+        """
+        pending = []
+        while word:
+            low = word & -word
+            word ^= low
+            edge, producer, consumer = self.latch[low.bit_length() - 1]
+            if not (done & producer or done_after & consumer):
+                pending.append(edge)
+        for key, consumer_op, producer_op in sorted(pending):
             self._record(
                 "MC-RACE",
-                f"latch:{key}:{producer}->{consumer}",
-                f"completion pulse CC_{producer} lands on the "
+                f"latch:{key}:{producer_op}->{consumer_op}",
+                f"completion pulse CC_{producer_op} lands on the "
                 f"already-latched arrival flag of pending consumer "
-                f"{consumer} on {key} (depth {next_depth})",
+                f"{consumer_op} on {key} (depth {depth})",
                 state_id,
                 expects="protocol",
             )
-        # Starts: refinement checks, then branch over telescope levels.
-        branch = self._start_ops(
-            state_id, tuple(sorted(step.starts)), executing, done_after
-        )
-        survivors = tuple(
-            (unit, op, max(left - 1, 0))
-            for unit, (op, left) in executing.items()
-        )
-        combos: list[tuple[tuple[str, int], ...]] = [()]
-        for op, levels in branch:
-            combos = [
-                combo + ((op, level),)
-                for combo in combos
-                for level in levels
-            ]
-        for combo in combos:
-            entries = list(survivors)
-            recorded: list[tuple[str, int]] = []
-            for op, level in combo:
-                entries.append(
-                    (self.unit_of[op], op, self.left_of[(op, level)])
-                )
-                if len(self.levels_of[op]) > 1 and op not in done_after:
-                    recorded.append((op, level))
-            successor = MCState(
-                config=step.config,
-                executing=tuple(sorted(entries)),
-                done=done_after,
-            )
-            child = self._admit(
-                successor, state_id, tuple(recorded), queue
-            )
-            self.succs[state_id].append(child)
-            self.transitions += 1
 
     # -- the run ---------------------------------------------------------
     def run(self) -> None:
         queue: "deque[int]" = deque()
         # Initial states: branch over the levels of the cycle-0 starts.
-        initial_starts = tuple(sorted(self.system.initial_starts()))
-        config = self.system.initial_config()
-        branch = [(op, self.levels_of[op]) for op in initial_starts]
-        combos: list[tuple[tuple[str, int], ...]] = [()]
-        for op, levels in branch:
-            combos = [
-                combo + ((op, level),)
-                for combo in combos
-                for level in levels
-            ]
-        for combo in combos:
-            entries = tuple(
-                sorted(
-                    (self.unit_of[op], op, self.left_of[(op, level)])
-                    for op, level in combo
-                )
-            )
-            recorded = tuple(
-                (op, level)
-                for op, level in combo
-                if len(self.levels_of[op]) > 1
-            )
-            state = MCState(
-                config=config, executing=entries, done=frozenset()
-            )
-            self._admit(state, -1, recorded, queue)
-        for op in initial_starts:
-            if self.preds[op]:
+        starts = [
+            self.ops.index(op) for op in sorted(self.system.initial_starts())
+        ]
+        states = self.system.initial_config().states
+        for combo in product(*(self.start_options[i] for i in starts)):
+            entries = tuple(sorted(code for code, _ in combo))
+            recorded = tuple(choice for _, choice in combo if choice)
+            self._admit((states, 0, entries, 0), -1, recorded, queue)
+        for i in starts:
+            if self.preds[i]:
                 self._record(
                     "MC-REF",
-                    f"op:{op}",
-                    f"{op} starts at cycle 0 before execution-graph "
-                    f"predecessor(s) {', '.join(self.preds[op])} "
-                    f"completed",
+                    f"op:{self.ops[i]}",
+                    f"{self.ops[i]} starts at cycle 0 before "
+                    f"execution-graph predecessor(s) "
+                    f"{', '.join(self._names(self.preds[i]))} completed",
                     0,
                     expects="protocol",
                 )
@@ -498,16 +523,13 @@ class _Explorer:
         for state_id in range(total):
             if alive[state_id]:
                 continue
-            state = self.states[state_id]
-            pending = tuple(
-                sorted(self.all_done - state.done)
-            )
+            states, _, _, done = self.states[state_id]
+            pending = tuple(self._names(self.all_done & ~done))
             if pending in seen_signatures:
                 continue
             seen_signatures.add(pending)
             states_text = ", ".join(
-                f"{k}={s}"
-                for k, s in zip(self.system.keys, state.config.states)
+                f"{k}={s}" for k, s in zip(self.system.keys, states)
             )
             message = (
                 f"reachable quiescent-but-incomplete state at depth "

@@ -10,7 +10,7 @@ fault self-tests construct deliberately corrupted bundles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
@@ -42,9 +42,6 @@ class LintTarget:
     bound: BoundDataflowGraph
     taubm: TaubmSchedule
     distributed: DistributedControlUnit
-    _rtl_cache: "dict[str, str]" = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     @classmethod
     def from_result(
@@ -85,14 +82,10 @@ class LintTarget:
         return self.distributed.controllers
 
     def rtl(self) -> str:
-        """The generated distributed-control-unit Verilog (cached)."""
-        if "top" not in self._rtl_cache:
-            from ..control.verilog_top import distributed_to_verilog
+        """The distributed unit's Verilog, rendered once per unit."""
+        from ..control.verilog_top import distributed_to_verilog
 
-            self._rtl_cache["top"] = distributed_to_verilog(
-                self.distributed
-            )
-        return self._rtl_cache["top"]
+        return distributed_to_verilog(self.distributed)
 
     def with_controllers(
         self, controllers: Mapping[str, FSM]
@@ -107,5 +100,4 @@ class LintTarget:
             distributed=replace(
                 self.distributed, controllers=dict(controllers)
             ),
-            _rtl_cache={},
         )

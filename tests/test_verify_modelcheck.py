@@ -181,6 +181,43 @@ def _complete_early(target: LintTarget) -> LintTarget:
     raise AssertionError("design unsuitable: no telescopic completer")
 
 
+def _double_start(target: LintTarget) -> LintTarget:
+    """A controller starts a second op of its unit with the first.
+
+    Both starts find the unit idle, so the successor state holds two
+    entries for one unit; the next expansion runs the later one.
+    """
+    for unit, fsm in target.controllers.items():
+        ops = target.bound.ops_on_unit(unit)
+        for index, tr in enumerate(fsm.transitions):
+            extra = [op for op in ops if tr.starts and op not in tr.starts]
+            if extra:
+                transitions = list(fsm.transitions)
+                transitions[index] = replace(
+                    tr, starts=tr.starts | {extra[-1]}
+                )
+                controllers = dict(target.controllers)
+                controllers[unit] = replace(
+                    fsm, transitions=tuple(transitions)
+                )
+                return target.with_controllers(controllers)
+    raise AssertionError("design unsuitable: no unit with two ops")
+
+
+def _start_early(target: LintTarget) -> LintTarget:
+    """A controller also starts an op with predecessors at cycle 0."""
+    dependent = {v for _, v in target.bound.execution_edges()}
+    for unit, fsm in target.controllers.items():
+        for op in target.bound.ops_on_unit(unit):
+            if op in dependent and op not in fsm.initial_starts:
+                controllers = dict(target.controllers)
+                controllers[unit] = replace(
+                    fsm, initial_starts=fsm.initial_starts | {op}
+                )
+                return target.with_controllers(controllers)
+    raise AssertionError("design unsuitable: no op with a predecessor")
+
+
 class TestMutationWitnesses:
     def test_dropped_pulse_deadlocks(self, fir5_target):
         fault = next(

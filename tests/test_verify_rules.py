@@ -6,11 +6,15 @@ injectors of :mod:`repro.faults` model must have a structural shadow
 that trips a named lint rule.
 """
 
+from dataclasses import replace
+
 import pytest
 
+import repro.control.verilog_top as verilog_top
 import repro.verify.liveness as liveness_mod
 from repro.analysis.marked_graph import token_free_cycle
 from repro.benchmarks import paper_fig2_dfg
+from repro.control.verilog_top import distributed_to_verilog
 from repro.errors import VerificationError
 from repro.fsm.model import FSM, make_transition
 from repro.verify import (
@@ -219,8 +223,6 @@ class TestScheduleRules:
         assert check_schedule(fig2_target) == []
 
     def test_sch001_precedence_violation(self, fig2_target):
-        from dataclasses import replace
-
         u, v = next(iter(fig2_target.dfg.edges()))
         start = dict(fig2_target.schedule.start)
         start[v] = start[u]
@@ -232,8 +234,6 @@ class TestScheduleRules:
         assert "SCH001" in rules_of(findings)
 
     def test_sch002_step_over_subscription(self, fig2_target):
-        from dataclasses import replace
-
         # cram every operation into step 0
         start = {op: 0 for op in fig2_target.schedule.start}
         corrupted = replace(
@@ -251,8 +251,6 @@ class TestScheduleRules:
         assert "SCH004" in rules_of(findings)
 
     def test_sch005_chain_order_inversion(self, fig2_target):
-        from dataclasses import replace
-
         for _, chain in fig2_target.order.all_chains():
             if len(chain) >= 2:
                 u, v = chain[0], chain[1]
@@ -277,8 +275,6 @@ class TestScheduleRules:
         assert any("extension" in d.message for d in sch006)
 
     def test_sch006_partition_gap(self, fig2_target):
-        from dataclasses import replace
-
         from repro.scheduling.schedule import TaubmSchedule
 
         taubm = fig2_target.taubm
@@ -337,9 +333,36 @@ class TestRtlRules:
         assert top.port_direction("clk") == "input"
 
     def _lint_text(self, fig2_target, text):
+        # a fresh unit whose rendering is the hand-written text
         target = fig2_target.with_controllers(fig2_target.controllers)
-        target._rtl_cache["top"] = text
+        target.distributed._verilog["control_top"] = text
         return check_rtl(target)
+
+    def test_lint_and_caller_share_one_rendering(self, fig2_target):
+        target = fig2_target.with_controllers(fig2_target.controllers)
+        text = target.rtl()
+        assert distributed_to_verilog(target.distributed) is text
+        renamed = target.with_controllers(
+            {
+                unit: replace(fsm, name=f"{fsm.name}_b")
+                for unit, fsm in target.controllers.items()
+            }
+        )
+        assert renamed.rtl() is distributed_to_verilog(renamed.distributed)
+        assert renamed.rtl() != text
+        assert target.rtl() is text
+
+    def test_failed_render_keeps_nothing(self, fig2_target, monkeypatch):
+        target = fig2_target.with_controllers(fig2_target.controllers)
+        render = verilog_top._render
+        monkeypatch.setattr(
+            verilog_top,
+            "_render",
+            lambda unit, top: (_ for _ in ()).throw(KeyError("CC_boom")),
+        )
+        assert rules_of(check_rtl(target)) == {"RTL000"}
+        monkeypatch.setattr(verilog_top, "_render", render)
+        assert "RTL000" not in rules_of(check_rtl(target))
 
     def test_rtl001_multiple_drivers(self, fig2_target):
         text = top_with(
