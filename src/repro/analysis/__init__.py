@@ -1,10 +1,9 @@
 """Analytic latency models and report rendering."""
 
-from .activity import ActivityReport, activity_report, compare_activity
+from .activity import ActivityReport, activity_report
 from .marked_graph import (
     ThroughputBound,
     pipelined_throughput_bound,
-    resource_bound_cycles,
 )
 from .distribution import (
     DistributionComparison,
@@ -39,7 +38,6 @@ from .tables import render_series, render_table
 from .utilization import (
     UnitUtilization,
     UtilizationReport,
-    compare_utilization,
     utilization_report,
 )
 
@@ -59,10 +57,8 @@ __all__ = [
     "analyze_dist",
     "analyze_sync",
     "graph_latency_pmf",
-    "compare_activity",
     "UnitUtilization",
     "UtilizationReport",
-    "compare_utilization",
     "compare_distributions",
     "compare_latencies",
     "dist_latency_cycles",
@@ -74,7 +70,6 @@ __all__ = [
     "monte_carlo_expected_latency",
     "pipelined_throughput_bound",
     "render_series",
-    "resource_bound_cycles",
     "render_table",
     "scheme_latency",
     "sync_latency_cycles",

@@ -83,13 +83,3 @@ def activity_report(
         completion_toggles=completion,
         register_writes=writes,
     )
-
-
-def compare_activity(
-    dist_sim: "SimulationResult", sync_sim: "SimulationResult"
-) -> tuple[ActivityReport, ActivityReport]:
-    """Activity of the two controller schemes on the same scenario."""
-    return (
-        activity_report(dist_sim, "DIST"),
-        activity_report(sync_sim, "CENT-SYNC"),
-    )

@@ -247,16 +247,3 @@ def _cycle_tokens(
             "token-free cycle found: the execution graph is cyclic"
         )
     return total
-
-
-def resource_bound_cycles(
-    bound: BoundDataflowGraph, fast: bool = True
-) -> dict[str, int]:
-    """Per-unit work per iteration (the trivial chain-only bounds)."""
-    result = {}
-    for unit in bound.used_units():
-        result[unit.name] = sum(
-            bound.duration_cycles(op, fast)
-            for op in bound.ops_on_unit(unit.name)
-        )
-    return result

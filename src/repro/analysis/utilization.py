@@ -105,14 +105,3 @@ def utilization_report(
     return UtilizationReport(
         scheme=scheme, window_cycles=window, units=units
     )
-
-
-def compare_utilization(
-    bound: BoundDataflowGraph,
-    dist_sim: "SimulationResult",
-    sync_sim: "SimulationResult",
-) -> str:
-    """Side-by-side utilization of the two controller schemes."""
-    dist = utilization_report(bound, dist_sim, "DIST")
-    sync = utilization_report(bound, sync_sim, "CENT-SYNC")
-    return dist.render() + "\n" + sync.render()

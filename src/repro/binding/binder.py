@@ -134,10 +134,6 @@ class BoundDataflowGraph:
         """Cycles of one execution completing at a telescope level."""
         return self.duration_table[op_name][level]
 
-    def max_duration_cycles(self, op_name: str) -> int:
-        """Worst-level cycle count of an op on its unit."""
-        return self.duration_table[op_name][-1]
-
     def execution_edges(self) -> tuple[tuple[str, str], ...]:
         """Data edges plus schedule arcs (the execution graph)."""
         return self.order.execution_edges()

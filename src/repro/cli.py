@@ -526,72 +526,16 @@ def _check_worker(item):
     )
 
 
-def _cmd_lint(args) -> int:
-    import json
+def _gate_designs(args, worker, item_of, report_of, json_of) -> int:
+    """The shared body of ``repro lint`` and ``repro check``.
 
-    from .perf.engine import parallel_map
-    from .verify.baseline import gate_against_baseline, write_baseline
-
-    names = list(args.benchmarks) or [
-        entry.name for entry in all_benchmarks()
-    ]
-    if args.allocation and len(names) != 1:
-        print(
-            "error: --allocation requires exactly one benchmark",
-            file=sys.stderr,
-        )
-        return 2
-    reports = parallel_map(
-        _lint_worker,
-        [(name, args.allocation, args.scheduler) for name in names],
-        workers=args.jobs,
-    )
-    if args.write_baseline:
-        for report in reports:
-            path = write_baseline(args.baseline_dir, report)
-            print(f"wrote baseline {path}", file=sys.stderr)
-    gates = [
-        gate_against_baseline(
-            report,
-            args.baseline_dir,
-            fail_on=args.fail_on,
-            check_baseline=args.check_baseline,
-        )
-        for report in reports
-    ]
-    if args.format == "json":
-        out = (
-            json.dumps(
-                {
-                    "format": 1,
-                    "reports": [r.to_dict() for r in reports],
-                },
-                indent=2,
-                sort_keys=True,
-                separators=(",", ": "),
-            )
-            + "\n"
-        )
-    else:
-        parts = []
-        for report, gate in zip(reports, gates):
-            parts.append(report.render())
-            parts.append(gate.render())
-        out = "\n".join(parts) + "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(out)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(out, end="")
-    failed = [g for g in gates if not g.passed]
-    for gate in failed:
-        if args.format == "json" or args.output:
-            print(gate.render(), file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _cmd_check(args) -> int:
+    Runs ``worker`` on ``item_of(name)`` for every named benchmark (all
+    of them by default), optionally writes each ``report_of(result)`` as
+    a baseline, gates it against the baseline directory and prints the
+    results: ``json_of(result)`` per design under ``--format json``,
+    else each ``result.render()`` followed by its gate.  Failed gates
+    also go to stderr when stdout does not already carry them.
+    """
     import json
 
     from .perf.engine import parallel_map
@@ -607,20 +551,9 @@ def _cmd_check(args) -> int:
         )
         return 2
     results = parallel_map(
-        _check_worker,
-        [
-            (
-                name,
-                args.allocation,
-                args.scheduler,
-                args.max_states,
-                args.max_frontier,
-            )
-            for name in names
-        ],
-        workers=args.jobs,
+        worker, [item_of(name) for name in names], workers=args.jobs
     )
-    reports = [result.report for result in results]
+    reports = [report_of(result) for result in results]
     if args.write_baseline:
         for report in reports:
             path = write_baseline(args.baseline_dir, report)
@@ -639,21 +572,7 @@ def _cmd_check(args) -> int:
             json.dumps(
                 {
                     "format": 1,
-                    "reports": [
-                        {
-                            "design": result.design,
-                            "states": result.states,
-                            "transitions": result.transitions,
-                            "accepting": result.accepting,
-                            "max_depth": result.max_depth,
-                            "report": result.report.to_dict(),
-                            "counterexamples": [
-                                cex.to_dict()
-                                for cex in result.counterexamples
-                            ],
-                        }
-                        for result in results
-                    ],
+                    "reports": [json_of(result) for result in results],
                 },
                 indent=2,
                 sort_keys=True,
@@ -678,6 +597,47 @@ def _cmd_check(args) -> int:
         if args.format == "json" or args.output:
             print(gate.render(), file=sys.stderr)
     return 1 if failed else 0
+
+
+def _cmd_lint(args) -> int:
+    return _gate_designs(
+        args,
+        _lint_worker,
+        lambda name: (name, args.allocation, args.scheduler),
+        report_of=lambda report: report,
+        json_of=lambda report: report.to_dict(),
+    )
+
+
+def _check_json(result) -> dict:
+    """One design's entry in ``repro check --format json``."""
+    return {
+        "design": result.design,
+        "states": result.states,
+        "transitions": result.transitions,
+        "accepting": result.accepting,
+        "max_depth": result.max_depth,
+        "report": result.report.to_dict(),
+        "counterexamples": [
+            cex.to_dict() for cex in result.counterexamples
+        ],
+    }
+
+
+def _cmd_check(args) -> int:
+    return _gate_designs(
+        args,
+        _check_worker,
+        lambda name: (
+            name,
+            args.allocation,
+            args.scheduler,
+            args.max_states,
+            args.max_frontier,
+        ),
+        report_of=lambda result: result.report,
+        json_of=_check_json,
+    )
 
 
 def _cmd_resume(args) -> int:

@@ -6,8 +6,6 @@ from .analysis import (
     asap_start_times,
     critical_path,
     finish_times,
-    longest_path_length,
-    mobility,
     profile,
     schedule_length,
     uniform_durations,
@@ -20,7 +18,6 @@ from .dfg import (
     Operand,
     Operation,
     OpRef,
-    reachable_from,
     transitive_dependency,
 )
 from .dot import dfg_to_dot
@@ -28,9 +25,8 @@ from .ops import (
     DEFAULT_TELESCOPIC_CLASSES,
     OpType,
     ResourceClass,
-    op_type_from_symbol,
 )
-from .validate import concurrent_pairs, validate_dfg, validate_extra_edges
+from .validate import validate_dfg, validate_extra_edges
 
 __all__ = [
     "ConstRef",
@@ -46,15 +42,10 @@ __all__ = [
     "ResourceClass",
     "alap_start_times",
     "asap_start_times",
-    "concurrent_pairs",
     "critical_path",
     "dfg_to_dot",
     "finish_times",
-    "longest_path_length",
-    "mobility",
-    "op_type_from_symbol",
     "profile",
-    "reachable_from",
     "schedule_length",
     "transitive_dependency",
     "uniform_durations",

@@ -1,6 +1,6 @@
 """Static timing analysis on dataflow graphs.
 
-These are the classic HLS graph analyses: ASAP / ALAP levels, mobility and
+These are the classic HLS graph analyses: ASAP / ALAP levels and the
 critical path, parameterized by a per-operation duration (in abstract time
 steps).  They are used both by the schedulers and by the analytic latency
 model (the distributed controller's latency *is* the weighted longest path,
@@ -114,8 +114,8 @@ def alap_start_times(
 ) -> dict[str, int]:
     """Latest start time of every operation for a given horizon.
 
-    ``horizon`` defaults to the critical-path length, giving zero mobility
-    on the critical path.
+    ``horizon`` defaults to the critical-path length, so every op on the
+    critical path has equal ASAP and ALAP starts.
     """
     durations = durations or uniform_durations(dfg)
     _check_durations(dfg, durations)
@@ -134,17 +134,6 @@ def alap_start_times(
         )
         start[op.name] = latest_finish - durations[op.name]
     return start
-
-
-def mobility(
-    dfg: DataflowGraph,
-    horizon: "int | None" = None,
-    durations: "Durations | None" = None,
-) -> dict[str, int]:
-    """Slack (ALAP − ASAP start) of every operation."""
-    asap = asap_start_times(dfg, durations)
-    alap = alap_start_times(dfg, horizon, durations)
-    return {name: alap[name] - asap[name] for name in asap}
 
 
 def critical_path(
@@ -208,12 +197,3 @@ def profile(dfg: DataflowGraph) -> GraphProfile:
         width=width,
         ops_by_class=tuple(sorted(counts.items())),
     )
-
-
-def longest_path_length(
-    dfg: DataflowGraph,
-    durations: Durations,
-    extra_edges: "tuple[tuple[str, str], ...]" = (),
-) -> int:
-    """Alias of :func:`schedule_length` emphasising the latency reading."""
-    return schedule_length(dfg, durations, extra_edges)

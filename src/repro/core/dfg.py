@@ -325,19 +325,6 @@ class DataflowGraph:
         return f"<DataflowGraph {self.name!r} ops={len(self)}>"
 
 
-def reachable_from(dfg: DataflowGraph, start: str) -> frozenset[str]:
-    """All operations reachable from ``start`` via data edges (inclusive)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for succ in dfg.successors(node):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return frozenset(seen)
-
-
 def transitive_dependency(dfg: DataflowGraph) -> dict[str, frozenset[str]]:
     """For every op, the set of ops it (transitively) depends on.
 

@@ -83,13 +83,3 @@ class OpType(enum.Enum):
 
 #: Operation types that the paper maps onto telescopic units by default.
 DEFAULT_TELESCOPIC_CLASSES = frozenset({ResourceClass.MULTIPLIER})
-
-_SYMBOL_TABLE = {op.symbol: op for op in OpType}
-
-
-def op_type_from_symbol(symbol: str) -> OpType:
-    """Look up an :class:`OpType` by its symbol (``"*"``, ``"+"``, ...)."""
-    try:
-        return _SYMBOL_TABLE[symbol]
-    except KeyError:
-        raise ValueError(f"unknown operation symbol {symbol!r}") from None

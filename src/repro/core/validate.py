@@ -10,7 +10,7 @@ for externally supplied edge sets (schedule arcs).
 from __future__ import annotations
 
 from ..errors import GraphError
-from .dfg import DataflowGraph, transitive_dependency
+from .dfg import DataflowGraph
 
 
 def validate_dfg(dfg: DataflowGraph, require_outputs: bool = False) -> None:
@@ -80,20 +80,3 @@ def validate_extra_edges(
     for name in succ:
         if color[name] == WHITE:
             dfs(name)
-
-
-def concurrent_pairs(dfg: DataflowGraph) -> frozenset[frozenset[str]]:
-    """All unordered pairs of operations with no dependency either way.
-
-    Two operations can execute concurrently exactly when neither reaches
-    the other.  This is the complement of the paper's Fig. 3(b) dependency
-    graph, used in tests and by the order-based scheduler.
-    """
-    deps = transitive_dependency(dfg)
-    names = dfg.op_names()
-    pairs: set[frozenset[str]] = set()
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if a not in deps[b] and b not in deps[a]:
-                pairs.add(frozenset((a, b)))
-    return frozenset(pairs)

@@ -28,10 +28,7 @@ from ..analysis.tables import render_series, render_table
 from ..api import synthesize
 from ..benchmarks.registry import benchmark
 from ..fsm.area import fsm_area, latch_area
-from ..fsm.op_controller import (
-    derive_all_operation_controllers,
-    operation_controller_consumes,
-)
+from ..fsm.op_controller import derive_all_operation_controllers
 from ..fsm.signals import is_op_completion
 from ..resources.allocation import ResourceAllocation
 from ..resources.bitlevel import ArrayMultiplier
@@ -46,7 +43,6 @@ from ..resources.csg import (
     synthesize_multiplier_csg,
     uniform_distribution,
 )
-from ..sim.controllers import ControllerSystem
 from ..sim.runner import pipelined_throughput
 from .common import synthesize_benchmark
 
@@ -237,15 +233,6 @@ def run_opdist(benchmark_name: str = "diffeq") -> OpDistResult:
         dist_comb=dist.combinational_area,
         dist_seq=dist.sequential_area,
         dist_latches=res.distributed.num_latches,
-    )
-
-
-def operation_controller_system(res) -> ControllerSystem:
-    """Executable per-operation controller system for a synthesis result."""
-    controllers = derive_all_operation_controllers(res.bound)
-    return ControllerSystem(
-        controllers=controllers,
-        consumes=operation_controller_consumes(res.bound),
     )
 
 

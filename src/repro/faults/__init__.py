@@ -7,8 +7,9 @@ monitors"):
    wrapping a :class:`~repro.sim.controllers.ControllerSystem` or a
    :class:`~repro.resources.completion.CompletionModel`,
 2. the runtime invariant monitors live in :mod:`repro.sim.simulator`
-   (:class:`~repro.sim.simulator.MonitorConfig`) and raise the structured
-   exceptions of :mod:`repro.errors`,
+   (:class:`~repro.sim.simulator.MonitorConfig` turns on the strict
+   handshake check) and raise the structured exceptions of
+   :mod:`repro.errors`,
 3. :mod:`repro.faults.campaign` — the seeded fault-campaign runner that
    classifies every faulty run as detected / tolerated / silent and
    compares DIST-FSM against CENT-SYNC-FSM vulnerability.

@@ -249,6 +249,16 @@ class FaultCampaignReport:
 # ---------------------------------------------------------------------------
 # Fault generation
 # ---------------------------------------------------------------------------
+def _trial_fault(injector) -> TrialFault:
+    """The trial fault that applies one network-level injector."""
+    return TrialFault(
+        kind=injector.kind,
+        description=injector.describe(),
+        target=injector.target(),
+        injector=injector,
+    )
+
+
 def _fault_menu(system, bound, span: int) -> tuple[
     "Callable[[random.Random], TrialFault]", ...
 ]:
@@ -284,12 +294,7 @@ def _fault_menu(system, bound, span: int) -> tuple[
                 first_cycle=first,
                 last_cycle=last,
             )
-            return TrialFault(
-                kind=injector.kind,
-                description=injector.describe(),
-                target=injector.target(),
-                injector=injector,
-            )
+            return _trial_fault(injector)
 
         def delayed(rng: random.Random) -> TrialFault:
             first = rng.randrange(span)
@@ -299,12 +304,7 @@ def _fault_menu(system, bound, span: int) -> tuple[
                 first_cycle=first,
                 last_cycle=first + span,
             )
-            return TrialFault(
-                kind=injector.kind,
-                description=injector.describe(),
-                target=injector.target(),
-                injector=injector,
-            )
+            return _trial_fault(injector)
 
         menu += [stuck, delayed]
 
@@ -314,24 +314,14 @@ def _fault_menu(system, bound, span: int) -> tuple[
             injector = DroppedPulseFault(
                 producer_op=rng.choice(producers)
             )
-            return TrialFault(
-                kind=injector.kind,
-                description=injector.describe(),
-                target=injector.target(),
-                injector=injector,
-            )
+            return _trial_fault(injector)
 
         def spurious(rng: random.Random) -> TrialFault:
             injector = SpuriousPulseFault(
                 producer_op=rng.choice(producers),
                 cycle=rng.randrange(span),
             )
-            return TrialFault(
-                kind=injector.kind,
-                description=injector.describe(),
-                target=injector.target(),
-                injector=injector,
-            )
+            return _trial_fault(injector)
 
         menu += [dropped, spurious]
 
@@ -341,12 +331,7 @@ def _fault_menu(system, bound, span: int) -> tuple[
             cycle=rng.randrange(span),
             pick=rng.randrange(16),
         )
-        return TrialFault(
-            kind=injector.kind,
-            description=injector.describe(),
-            target=injector.target(),
-            injector=injector,
-        )
+        return _trial_fault(injector)
 
     menu.append(flip)
 

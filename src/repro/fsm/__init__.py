@@ -19,10 +19,8 @@ from .model import FSM, Transition, all_cube, make_transition, not_all_cubes
 from .op_controller import (
     derive_all_operation_controllers,
     derive_operation_controller,
-    operation_controller_consumes,
 )
 from .optimize import (
-    merge_equivalent_states,
     prune_outputs,
     remove_unreachable_states,
 )
@@ -67,13 +65,11 @@ __all__ = [
     "is_unit_completion",
     "latch_area",
     "make_transition",
-    "merge_equivalent_states",
     "not_all_cubes",
     "one_hot_encoding",
     "op_completion",
     "op_of_completion",
     "operand_fetch",
-    "operation_controller_consumes",
     "prune_outputs",
     "register_enable",
     "remove_unreachable_states",

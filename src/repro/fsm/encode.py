@@ -24,9 +24,6 @@ class StateEncoding:
         except KeyError:
             raise FSMError(f"state {state!r} has no code") from None
 
-    def used_codes(self) -> frozenset[int]:
-        return frozenset(self.codes.values())
-
     @property
     def num_flip_flops(self) -> int:
         """One flip-flop per code bit."""

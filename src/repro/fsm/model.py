@@ -51,11 +51,6 @@ class Transition:
             raise FSMError(f"guard references a signal twice: {self.guard}")
         object.__setattr__(self, "guard", tuple(sorted(self.guard)))
 
-    @property
-    def guard_dict(self) -> dict[str, bool]:
-        """The guard as a mapping (conjunction of literals)."""
-        return dict(self.guard)
-
     def matches(self, inputs: Mapping[str, bool]) -> bool:
         """Whether the guard holds under an input valuation."""
         for name, required in self.guard:

@@ -196,21 +196,3 @@ def derive_all_operation_controllers(
         op.name: derive_operation_controller(bound, op.name)
         for op in bound.dfg
     }
-
-
-def operation_controller_consumes(
-    bound: BoundDataflowGraph,
-) -> dict[tuple[str, str], tuple[str, ...]]:
-    """Consumption wiring for a per-operation controller system."""
-    consumes: dict[tuple[str, str], tuple[str, ...]] = {}
-    for op in bound.dfg:
-        chain = bound.order.chain_of(op.name)
-        index = chain.index(op.name)
-        preds = list(bound.dfg.predecessors(op.name))
-        if len(chain) > 1:
-            unit_pred = chain[index - 1] if index > 0 else chain[-1]
-            if unit_pred not in preds:
-                preds.append(unit_pred)
-        if preds:
-            consumes[(op.name, op.name)] = tuple(preds)
-    return consumes

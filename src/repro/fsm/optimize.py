@@ -83,80 +83,3 @@ def prune_outputs(fsm: FSM, keep: Iterable[str]) -> FSM:
     )
     pruned.validate()
     return pruned
-
-
-def merge_equivalent_states(fsm: FSM) -> FSM:
-    """Classic Moore-style partition refinement on (outputs, successors).
-
-    Conservative state minimization: two states merge when, for every
-    input valuation over the union of referenced inputs, they take
-    transitions with identical outputs, metadata and equivalent targets.
-    Generated controllers are usually already minimal; this pass exists to
-    prove it (tests assert no reduction on Algorithm-1 machines).
-    """
-    names = sorted({n for t in fsm.transitions for n, _ in t.guard})
-    import itertools
-
-    valuations = [
-        dict(zip(names, values))
-        for values in itertools.product((False, True), repeat=len(names))
-    ]
-
-    def signature(state: str, classes: dict[str, int]) -> tuple:
-        rows = []
-        for valuation in valuations:
-            t = fsm.step(state, valuation)
-            rows.append(
-                (classes[t.target], t.outputs, t.starts, t.completes)
-            )
-        return tuple(rows)
-
-    classes = {state: 0 for state in fsm.states}
-    while True:
-        signatures = {s: signature(s, classes) for s in fsm.states}
-        buckets: dict[tuple, int] = {}
-        new_classes: dict[str, int] = {}
-        for state in fsm.states:
-            key = (classes[state], signatures[state])
-            buckets.setdefault(key, len(buckets))
-            new_classes[state] = buckets[key]
-        if new_classes == classes:
-            break
-        classes = new_classes
-    if len(set(classes.values())) == fsm.num_states:
-        return fsm
-    representative: dict[int, str] = {}
-    for state in fsm.states:  # first state of each class represents it
-        representative.setdefault(classes[state], state)
-    rename = {s: representative[classes[s]] for s in fsm.states}
-    merged_transitions = []
-    seen = set()
-    for t in fsm.transitions:
-        if rename[t.source] != t.source:
-            continue
-        merged = Transition(
-            source=t.source,
-            target=rename[t.target],
-            guard=t.guard,
-            outputs=t.outputs,
-            starts=t.starts,
-            completes=t.completes,
-            queries=t.queries,
-        )
-        key = (merged.source, merged.target, merged.guard, merged.outputs)
-        if key not in seen:
-            seen.add(key)
-            merged_transitions.append(merged)
-    merged_fsm = FSM(
-        name=fsm.name,
-        states=tuple(
-            s for s in fsm.states if rename[s] == s
-        ),
-        initial=rename[fsm.initial],
-        inputs=fsm.inputs,
-        outputs=fsm.outputs,
-        transitions=tuple(merged_transitions),
-        initial_starts=fsm.initial_starts,
-    )
-    merged_fsm.validate()
-    return merged_fsm

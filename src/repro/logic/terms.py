@@ -16,7 +16,6 @@ tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
 
 from ..errors import LogicError
 
@@ -39,20 +38,6 @@ class Cube:
             raise LogicError("value bits set outside the care mask")
 
     # -- constructors ----------------------------------------------------
-    @classmethod
-    def from_string(cls, text: str) -> "Cube":
-        """Parse ``"1-0"`` style cube text (index 0 = leftmost character)."""
-        care = 0
-        value = 0
-        for i, ch in enumerate(text):
-            if ch == "-":
-                continue
-            if ch not in "01":
-                raise LogicError(f"bad cube character {ch!r} in {text!r}")
-            care |= 1 << i
-            if ch == "1":
-                value |= 1 << i
-        return cls(width=len(text), care=care, value=value)
 
     @classmethod
     def minterm(cls, width: int, index: int) -> "Cube":
@@ -72,21 +57,6 @@ class Cube:
         """Whether a fully specified input point satisfies this cube."""
         return (minterm & self.care) == self.value
 
-    def covers(self, other: "Cube") -> bool:
-        """Whether every point of ``other`` satisfies this cube."""
-        if self.width != other.width:
-            raise LogicError("cube width mismatch")
-        if self.care & ~other.care:
-            return False  # other leaves free a variable we constrain
-        return (other.value & self.care) == self.value
-
-    def intersects(self, other: "Cube") -> bool:
-        """Whether the two cubes share at least one point."""
-        if self.width != other.width:
-            raise LogicError("cube width mismatch")
-        common = self.care & other.care
-        return (self.value & common) == (other.value & common)
-
     def merge_distance_one(self, other: "Cube") -> "Cube | None":
         """Combine two cubes differing in exactly one specified bit.
 
@@ -102,18 +72,6 @@ class Cube:
         return Cube(
             width=self.width, care=self.care & ~diff, value=self.value & ~diff
         )
-
-    def expand(self) -> Iterable[int]:
-        """Yield every minterm index covered by the cube."""
-        free_bits = [
-            i for i in range(self.width) if not (self.care >> i) & 1
-        ]
-        for combo in range(1 << len(free_bits)):
-            point = self.value
-            for j, bit in enumerate(free_bits):
-                if (combo >> j) & 1:
-                    point |= 1 << bit
-            yield point
 
     def to_string(self) -> str:
         """Render as ``"1-0"`` style text (index 0 leftmost)."""

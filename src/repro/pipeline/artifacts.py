@@ -103,7 +103,3 @@ class ArtifactStore:
     def names(self) -> tuple[str, ...]:
         """Stored artifact names in insertion order."""
         return tuple(self._artifacts)
-
-    def as_dict(self) -> dict[str, object]:
-        """A shallow copy of the stored artifacts."""
-        return dict(self._artifacts)

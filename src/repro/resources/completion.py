@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 from ..errors import SimulationError
-from .units import ArithmeticUnit, TelescopicUnit
+from .units import ArithmeticUnit
 
 
 class CompletionModel(abc.ABC):
@@ -352,17 +352,3 @@ class LevelAssignmentCompletion(CompletionModel):
 
     def is_fast(self, op_name, unit, operands, rng) -> bool:
         return self.sample_level(op_name, unit, operands, rng) == 0
-
-
-def expected_fast_probability(
-    model: CompletionModel,
-    unit: TelescopicUnit,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of a stochastic model's fast probability."""
-    rng = random.Random(seed)
-    hits = sum(
-        model.is_fast("probe", unit, None, rng) for _ in range(samples)
-    )
-    return hits / samples

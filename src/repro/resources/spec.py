@@ -1,4 +1,4 @@
-"""First-class completion-model specs: serializable, fingerprintable P.
+"""First-class completion-model specs: a hashable, text-encodable P.
 
 The paper evaluates everything at a single fast-group probability ``P``,
 and historically every layer of this library took a bare ``p: float``.
@@ -31,14 +31,13 @@ flag)::
     per-unit:mul=0.9,add=0.5,*=0.7
     markov:0.7,0.5
 
-and round-trip through :meth:`CompletionSpec.to_dict` /
-:func:`spec_from_dict` for serialization.
+and :meth:`CompletionSpec.encode` writes that text back, so
+``parse_completion_spec(spec.encode()) == spec``.  Journal and bench keys
+name a spec through :meth:`CompletionSpec.key_fragment`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
@@ -116,17 +115,6 @@ class CompletionSpec:
         """
         return f"completion={self.encode()}"
 
-    def to_dict(self) -> dict:
-        """JSON-serializable description (see :func:`spec_from_dict`)."""
-        raise NotImplementedError
-
-    def fingerprint(self) -> str:
-        """Stable content digest of the spec."""
-        text = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode()).hexdigest()
-
     def describe(self) -> str:
         """Human-oriented one-liner for report headers."""
         return self.encode()
@@ -157,9 +145,6 @@ class BernoulliSpec(CompletionSpec):
         # the exact legacy fragment: existing journals keyed on a bare
         # float stay warm across the spec refactor
         return f"p={self.p!r}"
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p}
 
     def describe(self) -> str:
         return f"P={self.p}"
@@ -215,12 +200,6 @@ class PerUnitSpec(CompletionSpec):
         )
         return f"per-unit:{args}"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "probabilities": {k: v for k, v in self.probabilities},
-        }
-
 
 @dataclass(frozen=True)
 class MarkovSpec(CompletionSpec):
@@ -272,13 +251,6 @@ class MarkovSpec(CompletionSpec):
 
     def encode(self) -> str:
         return f"markov:{self.p_fast!r},{self.stickiness!r}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p_fast": self.p_fast,
-            "stickiness": self.stickiness,
-        }
 
 
 # -- parsing and coercion ------------------------------------------------
@@ -363,21 +335,6 @@ def as_completion_spec(
     )
 
 
-def spec_from_dict(data: Mapping) -> CompletionSpec:
-    """Rebuild a spec from :meth:`CompletionSpec.to_dict` output."""
-    kind = data.get("kind")
-    if kind == "bernoulli":
-        return BernoulliSpec(p=float(data["p"]))
-    if kind == "per-unit":
-        return PerUnitSpec(dict(data["probabilities"]))
-    if kind == "markov":
-        return MarkovSpec(
-            p_fast=float(data["p_fast"]),
-            stickiness=float(data["stickiness"]),
-        )
-    raise SimulationError(f"unknown completion spec kind {kind!r}")
-
-
 __all__ = [
     "BernoulliSpec",
     "CompletionSpec",
@@ -385,5 +342,4 @@ __all__ = [
     "PerUnitSpec",
     "as_completion_spec",
     "parse_completion_spec",
-    "spec_from_dict",
 ]

@@ -182,25 +182,3 @@ class MultiLevelTelescopicUnit(ArithmeticUnit):
     def __str__(self) -> str:
         levels = "/".join(f"{d:g}" for d in self.delays_ns)
         return f"{self.name}({self.resource_class.value}, levels={levels}ns)"
-
-
-def make_unit(
-    name: str,
-    resource_class: ResourceClass,
-    *,
-    telescopic: bool,
-    short_delay_ns: float = 15.0,
-    long_delay_ns: float = 20.0,
-    fixed_delay_ns: float = 15.0,
-) -> ArithmeticUnit:
-    """Factory producing either unit kind from one parameter set."""
-    if telescopic:
-        return TelescopicUnit(
-            name=name,
-            resource_class=resource_class,
-            short_delay_ns=short_delay_ns,
-            long_delay_ns=long_delay_ns,
-        )
-    return FixedDelayUnit(
-        name=name, resource_class=resource_class, delay_ns=fixed_delay_ns
-    )

@@ -15,7 +15,7 @@ from .schedule import (
     TaubmStep,
     TimeStepSchedule,
 )
-from .taubm import derive_taubm_schedule, tau_bound_ops, telescopic_classes
+from .taubm import derive_taubm_schedule, telescopic_classes
 
 __all__ = [
     "OrderSchedule",
@@ -31,6 +31,5 @@ __all__ = [
     "list_schedule",
     "minimum_units_required",
     "order_based_schedule",
-    "tau_bound_ops",
     "telescopic_classes",
 ]

@@ -44,15 +44,3 @@ def derive_taubm_schedule(
         )
         steps.append(TaubmStep(index=index, ops=tuple(ops), tau_ops=tau_ops))
     return TaubmSchedule(base=schedule, steps=tuple(steps))
-
-
-def tau_bound_ops(
-    schedule: TimeStepSchedule, allocation: ResourceAllocation
-) -> tuple[str, ...]:
-    """All operations that will execute on telescopic units."""
-    tau_classes = telescopic_classes(allocation)
-    return tuple(
-        op.name
-        for op in schedule.dfg
-        if op.resource_class in tau_classes
-    )

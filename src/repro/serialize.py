@@ -1,8 +1,9 @@
-"""JSON (de)serialization of dataflow graphs, FSMs and whole designs.
+"""JSON serialization of graphs, FSMs, pipeline artifacts and designs.
 
-Lets synthesized artifacts leave the Python process — for version control
-of golden controllers, for diffing two synthesis runs, or for feeding
-external tools.  Round-trips are exact: ``fsm_from_dict(fsm_to_dict(f))``
+FSMs and the pipeline artifacts also load back.  Lets synthesized
+artifacts leave the Python process — for version control of golden
+controllers, for diffing two synthesis runs, or for feeding external
+tools.  Round-trips are exact: ``fsm_from_dict(fsm_to_dict(f))``
 reproduces the machine bit-for-bit (tests enforce it).
 """
 
@@ -13,7 +14,7 @@ from collections.abc import Mapping
 from typing import Any, TYPE_CHECKING
 
 from .core.dfg import ConstRef, DataflowGraph, InputRef, OpRef, Operand
-from .core.ops import OpType, ResourceClass
+from .core.ops import ResourceClass
 from .errors import ReproError
 from .fsm.model import FSM, Transition
 
@@ -42,17 +43,6 @@ def _operand_to_dict(operand: Operand) -> dict[str, Any]:
     return {"kind": "op", "name": operand.op}
 
 
-def _operand_from_dict(data: Mapping[str, Any]) -> Operand:
-    kind = data.get("kind")
-    if kind == "input":
-        return InputRef(data["name"])
-    if kind == "const":
-        return ConstRef(int(data["value"]))
-    if kind == "op":
-        return OpRef(data["name"])
-    raise ReproError(f"unknown operand kind {kind!r}")
-
-
 def dfg_to_dict(dfg: DataflowGraph) -> dict[str, Any]:
     """Serialize a dataflow graph to plain JSON-compatible data."""
     return {
@@ -69,29 +59,6 @@ def dfg_to_dict(dfg: DataflowGraph) -> dict[str, Any]:
         ],
         "outputs": dict(dfg.outputs),
     }
-
-
-def dfg_from_dict(data: Mapping[str, Any]) -> DataflowGraph:
-    """Rebuild a dataflow graph from :func:`dfg_to_dict` data."""
-    if data.get("format") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported DFG format {data.get('format')!r}"
-        )
-    dfg = DataflowGraph(data["name"])
-    for name in data["inputs"]:
-        dfg.add_input(name)
-    for record in data["operations"]:
-        try:
-            op_type = OpType[record["type"]]
-        except KeyError:
-            raise ReproError(
-                f"unknown operation type {record['type']!r}"
-            ) from None
-        operands = [_operand_from_dict(o) for o in record["operands"]]
-        dfg.add_op(record["name"], op_type, *operands)
-    for out_name, op_name in data["outputs"].items():
-        dfg.set_output(out_name, op_name)
-    return dfg
 
 
 # ----------------------------------------------------------------------
@@ -333,26 +300,6 @@ def _check_format(data: Mapping[str, Any], what: str) -> None:
         raise ReproError(
             f"unsupported {what} format {data.get('format')!r}"
         )
-
-
-# ----------------------------------------------------------------------
-# Completion specs
-# ----------------------------------------------------------------------
-def completion_spec_to_dict(spec) -> dict[str, Any]:
-    """Serialize a :class:`~repro.resources.spec.CompletionSpec`."""
-    data: dict[str, Any] = {"format": FORMAT_VERSION}
-    data.update(spec.to_dict())
-    return data
-
-
-def completion_spec_from_dict(data: Mapping[str, Any]):
-    """Rebuild a spec written by :func:`completion_spec_to_dict`."""
-    from .resources.spec import spec_from_dict
-
-    _check_format(data, "completion spec")
-    return spec_from_dict(
-        {key: value for key, value in data.items() if key != "format"}
-    )
 
 
 # ----------------------------------------------------------------------

@@ -21,13 +21,11 @@ from .runner import (
     simulate_assignment,
 )
 from .simulator import MonitorConfig, SimulationResult, simulate
-from .trace import CycleRecord, SimulationTrace, gantt
+from .trace import CycleRecord, SimulationTrace
 from .stimulus import (
     ValueDistribution,
-    constant_streams,
     input_streams,
     small_values,
-    sparse_values,
     uniform_values,
 )
 from .vcd import trace_to_vcd
@@ -46,8 +44,6 @@ __all__ = [
     "ValueDistribution",
     "batch_monte_carlo_latency",
     "batch_supported",
-    "constant_streams",
-    "gantt",
     "input_streams",
     "monte_carlo_latency",
     "numpy_available",
@@ -55,7 +51,6 @@ __all__ = [
     "simulate",
     "simulate_assignment",
     "small_values",
-    "sparse_values",
     "single_fsm_system",
     "system_from_bound",
     "trace_to_vcd",

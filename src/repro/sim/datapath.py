@@ -51,9 +51,6 @@ class Datapath:
         self._exec_count: dict[str, int] = {op.name: 0 for op in dfg}
 
     # -- execution ---------------------------------------------------------
-    def iteration_of(self, op_name: str) -> int:
-        """Iteration index the next start of an op will execute."""
-        return self._exec_count[op_name]
 
     def operand_values(self, op_name: str) -> tuple[int, ...]:
         """Concrete operand values for the op's *next* execution."""

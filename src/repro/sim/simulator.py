@@ -12,6 +12,10 @@ CENT-FSM — clock edge by clock edge:
    table), deliver completion pulses, update latches,
 4. record start/finish cycles per operation and per iteration.
 
+Every run checks unit occupancy, completion timing and quiescent
+deadlock, and raises the structured errors of :mod:`repro.errors` when
+one fails; :class:`MonitorConfig` adds the opt-in handshake check.
+
 The first-iteration latency this measures is exactly what the paper's
 Table 2 reports; the analytic engine in :mod:`repro.analysis` must agree
 cycle-for-cycle (enforced by tests).
@@ -33,11 +37,11 @@ from .trace import CycleRecord, SimulationTrace
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Which runtime invariant monitors the simulator enforces.
+    """The opt-in runtime monitor of the simulator.
 
-    ``occupancy``, ``timing`` and ``deadlock`` are invariants of every
-    correct control unit — they can only fire when something (a fault
-    injector, a hand-mutated FSM) broke the protocol, so they default on.
+    The occupancy, timing and deadlock monitors always run: they check
+    invariants of every correct control unit, so they can only fire when
+    something (a fault injector, a hand-mutated FSM) broke the protocol.
     ``handshake`` promotes token overruns on the completion-arrival latches
     to :class:`~repro.errors.ProtocolError`; overruns are *legal* under
     overlapped iterations (they mark where a real design needs deeper
@@ -45,9 +49,6 @@ class MonitorConfig:
     single-iteration fault campaigns.
     """
 
-    deadlock: bool = True
-    occupancy: bool = True
-    timing: bool = True
     handshake: bool = False
 
 
@@ -99,9 +100,10 @@ def simulate(
 
     ``inputs`` enables the value-computing datapath (required for
     operand-dependent completion models).  ``max_cycles`` bounds the run
-    and turns controller deadlocks into errors instead of hangs.
-    ``monitors`` selects the runtime invariant checks (see
-    :class:`MonitorConfig`); protocol violations raise
+    and turns controller livelocks into errors instead of hangs.  The
+    occupancy, timing and quiescence-deadlock monitors always run;
+    ``monitors`` turns on strict handshake checking (see
+    :class:`MonitorConfig`).  Protocol violations raise
     :class:`~repro.errors.ProtocolError` and stalls raise
     :class:`~repro.errors.DeadlockError` with machine-readable context.
     """
@@ -143,7 +145,7 @@ def simulate(
 
     def begin(op: str, cycle: int) -> None:
         unit_name = unit_name_of[op]
-        if monitors.occupancy and unit_name in executing:
+        if unit_name in executing:
             busy_op = executing[unit_name][0]
             raise ProtocolError(
                 f"occupancy violation: unit {unit_name!r} is busy with "
@@ -246,38 +248,34 @@ def simulate(
             unit: (cycle - t0 + 1) >= duration
             for unit, (op, duration, t0) in executing.items()
         }
-        if monitors.deadlock:
-            # Quiescence watchdog: if the configuration and every CSG value
-            # repeat with no countdown left to flip (all reported done) and
-            # no fault window still open, every future step is identical.
-            # The completion count is part of the snapshot: under wrap-
-            # around pipelining a controller may legally complete-and-
-            # restart the same op every cycle at a fixed configuration —
-            # progress with a repeating config is not a deadlock.
-            # The snapshot is only materialized on quiescent cycles (all
-            # CSGs report done): an unstable cycle can never equal a
-            # stable one — its completion tuple differs — so recording it
-            # only costs time on the hot path.
-            if all(unit_completions.values()):
-                snapshot = (
-                    config,
-                    tuple(sorted(unit_completions.items())),
-                    total_done,
+        # Quiescence watchdog: if the configuration and every CSG value
+        # repeat with no countdown left to flip (all reported done) and
+        # no fault window still open, every future step is identical.
+        # The completion count is part of the snapshot: under wrap-
+        # around pipelining a controller may legally complete-and-
+        # restart the same op every cycle at a fixed configuration —
+        # progress with a repeating config is not a deadlock.
+        # The snapshot is only materialized on quiescent cycles (all
+        # CSGs report done): an unstable cycle can never equal a
+        # stable one — its completion tuple differs — so recording it
+        # only costs time on the hot path.
+        if all(unit_completions.values()):
+            snapshot = (
+                config,
+                tuple(sorted(unit_completions.items())),
+                total_done,
+            )
+            if snapshot == previous_snapshot and cycle > fault_horizon:
+                raise DeadlockError(
+                    f"deadlock at cycle {cycle}: the control unit is "
+                    f"quiescent with {total_done}/{target} completions "
+                    f"and can never progress; {deadlock_detail()}",
+                    max_cycles=max_cycles,
+                    **deadlock_context(),
                 )
-                if (
-                    snapshot == previous_snapshot
-                    and cycle > fault_horizon
-                ):
-                    raise DeadlockError(
-                        f"deadlock at cycle {cycle}: the control unit is "
-                        f"quiescent with {total_done}/{target} completions "
-                        f"and can never progress; {deadlock_detail()}",
-                        max_cycles=max_cycles,
-                        **deadlock_context(),
-                    )
-                previous_snapshot = snapshot
-            else:
-                previous_snapshot = None
+            previous_snapshot = snapshot
+        else:
+            previous_snapshot = None
         result = system.transition(config, unit_completions)
         if trace is not None:
             trace.append(
@@ -306,7 +304,7 @@ def simulate(
                     unit=unit,
                 )
             elapsed = cycle - record[2] + 1
-            if monitors.timing and elapsed < record[1]:
+            if elapsed < record[1]:
                 raise ProtocolError(
                     f"premature completion: {op!r} on unit {unit!r} "
                     f"completed after {elapsed} cycle(s) at cycle {cycle} "

@@ -3,8 +3,8 @@
 Produces per-input value streams (one value per dataflow iteration) drawn
 from named operand distributions, so operand-dependent completion models
 (:class:`~repro.resources.completion.OperandCompletion`) can be driven
-with statistically meaningful data — uniform full-scale words, DSP-like
-small samples, or sparse control words.
+with statistically meaningful data — uniform full-scale words or
+DSP-like small samples.
 
 It also defines :class:`CounterexampleStimulus`, the replayable form of
 a model-checker counterexample: the telescope-level assignment that
@@ -59,18 +59,6 @@ def small_values(width: int, active_bits: int) -> ValueDistribution:
     )
 
 
-def sparse_values(width: int, ones: int) -> ValueDistribution:
-    """Values with at most ``ones`` set bits (short carry chains)."""
-
-    def sample(rng: random.Random) -> int:
-        value = 0
-        for _ in range(ones):
-            value |= 1 << rng.randrange(width)
-        return value
-
-    return ValueDistribution(name=f"sparse{ones}of{width}", sampler=sample)
-
-
 def input_streams(
     dfg: DataflowGraph,
     distribution: ValueDistribution,
@@ -83,13 +71,6 @@ def input_streams(
         name: [distribution.sample(rng) for _ in range(iterations)]
         for name in dfg.inputs
     }
-
-
-def constant_streams(
-    dfg: DataflowGraph, values: Mapping[str, int]
-) -> dict[str, list[int]]:
-    """Wrap fixed input values as single-iteration streams."""
-    return {name: [values[name]] for name in dfg.inputs}
 
 
 @dataclass(frozen=True)

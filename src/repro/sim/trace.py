@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Mapping
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,6 @@ class SimulationTrace:
     def __iter__(self):
         return iter(self.records)
 
-    def states_of(self, key: str) -> tuple[str, ...]:
-        """The state sequence one controller visited."""
-        return tuple(
-            dict(r.states)[key] for r in self.records
-        )
-
     def render(self, max_cycles: "int | None" = None) -> str:
         """Human-readable waveform-ish text table, one row per cycle."""
         lines = ["cycle | states | C | completes"]
@@ -60,22 +53,3 @@ class SimulationTrace:
         if max_cycles is not None and len(self.records) > max_cycles:
             lines.append(f"... ({len(self.records) - max_cycles} more)")
         return "\n".join(lines)
-
-
-def gantt(
-    start_cycles: Mapping[str, int],
-    finish_cycles: Mapping[str, int],
-    unit_of: Mapping[str, str],
-) -> str:
-    """ASCII occupancy chart: one row per unit, ``#`` per busy cycle."""
-    horizon = max(finish_cycles.values(), default=0)
-    rows: dict[str, list[str]] = {}
-    for op, start in start_cycles.items():
-        unit = unit_of[op]
-        row = rows.setdefault(unit, ["."] * horizon)
-        for t in range(start, finish_cycles[op]):
-            row[t] = "#" if row[t] == "." else "!"
-    lines = [f"{'unit':8s} " + "".join(str(t % 10) for t in range(horizon))]
-    for unit in sorted(rows):
-        lines.append(f"{unit:8s} " + "".join(rows[unit]))
-    return "\n".join(lines)

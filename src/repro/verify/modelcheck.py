@@ -318,8 +318,9 @@ class _Explorer:
         states, flags, entries, done = self.states[state_id]
         ops, units, op_slot = self.ops, self.units, self.op_slot
         L, n_ops = self.L, len(ops)
-        # One entry per unit: where two starts double-booked an idle
-        # unit, the later entry is the one that runs.
+        # Only an initial state can hold two entries for one unit (a
+        # controller that starts two of its unit's ops at cycle 0); the
+        # later entry is the one that runs.
         executing = {code // self.span: code for code in entries}
         c_word = 0
         for slot, code in executing.items():
@@ -375,20 +376,35 @@ class _Explorer:
         # Starts: refinement checks, then branch over telescope levels.
         # A double-booked start is dropped (the unit keeps its current
         # operation, as the hardware's result register arbitration
-        # would).
+        # would).  Starts go in op (name) order, the simulator's order,
+        # so of two starts on one idle unit the first one runs.
         options: list[_Options] = []
+        taken: dict[int, int] = {}  # unit slot -> op started this cycle
         while started:
             low = started & -started
             started ^= low
             i = low.bit_length() - 1
-            busy = executing.get(op_slot[i])
+            slot = op_slot[i]
+            busy = executing.get(slot)
             if busy is not None:
                 self._record(
                     "MC-REF",
                     f"op:{ops[i]}",
-                    f"unit {units[op_slot[i]]} double-booked: {ops[i]} "
+                    f"unit {units[slot]} double-booked: {ops[i]} "
                     f"starts while {ops[busy // L % n_ops]} is still "
                     f"executing (depth {next_depth})",
+                    state_id,
+                    expects="protocol",
+                )
+                continue
+            first = taken.setdefault(slot, i)
+            if first != i:
+                self._record(
+                    "MC-REF",
+                    f"op:{ops[i]}",
+                    f"unit {units[slot]} double-booked: {ops[i]} "
+                    f"starts in the same cycle as {ops[first]} (depth "
+                    f"{next_depth})",
                     state_id,
                     expects="protocol",
                 )

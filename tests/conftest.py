@@ -14,6 +14,8 @@ from repro.benchmarks import (
 from repro.core.builder import DFGBuilder
 from repro.core.dfg import DataflowGraph
 from repro.core.ops import OpType
+from repro.errors import LogicError
+from repro.logic.terms import Cube
 
 
 # ----------------------------------------------------------------------
@@ -111,3 +113,21 @@ random_dfgs = st.builds(
     st.lists(st.integers(0, 2), min_size=3, max_size=10),
     st.lists(st.integers(0, 1000), min_size=20, max_size=20),
 )
+
+
+# ----------------------------------------------------------------------
+# Cubes written as text (the logic tests).
+# ----------------------------------------------------------------------
+def cube(text: str) -> Cube:
+    """Parse ``"1-0"`` style cube text (index 0 = leftmost character)."""
+    care = 0
+    value = 0
+    for i, ch in enumerate(text):
+        if ch == "-":
+            continue
+        if ch not in "01":
+            raise LogicError(f"bad cube character {ch!r} in {text!r}")
+        care |= 1 << i
+        if ch == "1":
+            value |= 1 << i
+    return Cube(width=len(text), care=care, value=value)

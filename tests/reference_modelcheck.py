@@ -193,6 +193,7 @@ class ReferenceExplorer:
     ) -> "list[tuple[str, tuple[int, ...]]]":
         """Validate starts against the spec; return the branch points."""
         branch: list[tuple[str, tuple[int, ...]]] = []
+        started: dict[str, str] = {}  # unit -> op started this cycle
         for op in starts:
             unit = self.unit_of[op]
             if unit in executing:
@@ -207,6 +208,18 @@ class ReferenceExplorer:
                     expects="protocol",
                 )
                 continue
+            if unit in started:
+                self._record(
+                    "MC-REF",
+                    f"op:{op}",
+                    f"unit {unit} double-booked: {op} starts in the "
+                    f"same cycle as {started[unit]} (depth "
+                    f"{self.depth[state_id] + 1})",
+                    state_id,
+                    expects="protocol",
+                )
+                continue
+            started[unit] = op
             if op in done:
                 branch.append((op, (0,)))
                 continue

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import activity_report, compare_activity
+from repro.analysis import activity_report
 from repro.errors import SimulationError
 from repro.resources import AllFastCompletion, AllSlowCompletion
 from repro.sim import simulate
@@ -60,23 +60,6 @@ class TestActivityReport:
         # over a longer window; the comparison must at least run.
         assert activity_report(slow).cycles > activity_report(fast).cycles
 
-    def test_compare_labels(self, fig3_result):
-        dist = simulate(
-            fig3_result.distributed_system(),
-            fig3_result.bound,
-            AllFastCompletion(),
-            record_trace=True,
-        )
-        sync = simulate(
-            fig3_result.cent_sync_system(),
-            fig3_result.bound,
-            AllFastCompletion(),
-            record_trace=True,
-        )
-        d, s = compare_activity(dist, sync)
-        assert d.scheme == "DIST" and s.scheme == "CENT-SYNC"
-        assert "toggles" in d.render()
-
     def test_sync_has_no_completion_toggles(self, fig3_result):
         sync = simulate(
             fig3_result.cent_sync_system(),
@@ -84,4 +67,7 @@ class TestActivityReport:
             AllSlowCompletion(),
             record_trace=True,
         )
-        assert activity_report(sync).completion_toggles == 0
+        report = activity_report(sync, "CENT-SYNC")
+        assert report.completion_toggles == 0
+        assert report.scheme == "CENT-SYNC"
+        assert "toggles" in report.render()

@@ -4,10 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis import (
-    pipelined_throughput_bound,
-    resource_bound_cycles,
-)
+from repro.analysis import pipelined_throughput_bound
 from repro.experiments import synthesize_benchmark
 from repro.resources import AllFastCompletion, AllSlowCompletion
 from repro.sim import pipelined_throughput
@@ -38,7 +35,11 @@ class TestBoundStructure:
         """λ* can never beat the busiest unit's work per iteration."""
         bound = pipelined_throughput_bound(fig3_result.bound, fast=True)
         busiest = max(
-            resource_bound_cycles(fig3_result.bound, fast=True).values()
+            sum(
+                fig3_result.bound.duration_cycles(op, True)
+                for op in fig3_result.bound.ops_on_unit(unit.name)
+            )
+            for unit in fig3_result.bound.used_units()
         )
         assert bound.cycles_per_iteration >= busiest
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import compare_utilization, utilization_report
-from repro.resources import AllFastCompletion, AllSlowCompletion
+from repro.analysis import utilization_report
+from repro.resources import AllSlowCompletion
 from repro.sim import simulate
 
 
@@ -80,17 +80,3 @@ class TestSchemeComparison:
             dist_report.mean_utilization()
             >= sync_report.mean_utilization() - 1e-9
         )
-
-    def test_compare_renders_both(self, fig3_result):
-        dist = simulate(
-            fig3_result.distributed_system(),
-            fig3_result.bound,
-            AllFastCompletion(),
-        )
-        sync = simulate(
-            fig3_result.cent_sync_system(),
-            fig3_result.bound,
-            AllFastCompletion(),
-        )
-        text = compare_utilization(fig3_result.bound, dist, sync)
-        assert "DIST" in text and "CENT-SYNC" in text

@@ -19,10 +19,8 @@ from repro.resources.spec import (
     PerUnitSpec,
     as_completion_spec,
     parse_completion_spec,
-    spec_from_dict,
 )
 from repro.resources.units import TelescopicUnit
-from repro.serialize import completion_spec_from_dict, completion_spec_to_dict
 
 TM1 = TelescopicUnit("TM1", ResourceClass.MULTIPLIER)
 TA1 = TelescopicUnit("TA1", ResourceClass.ADDER)
@@ -104,34 +102,6 @@ def test_markov_stickiness_bounds():
         MarkovSpec(p_fast=0.7, stickiness=1.0)
     with pytest.raises(SimulationError):
         MarkovSpec(p_fast=0.7, stickiness=-0.1)
-
-
-# ----------------------------------------------------------------------
-# Fingerprints and serialization
-# ----------------------------------------------------------------------
-def test_fingerprints_stable_and_distinct():
-    prints = {spec.fingerprint() for spec in ALL_SPECS}
-    assert len(prints) == len(ALL_SPECS)
-    for spec in ALL_SPECS:
-        assert spec.fingerprint() == spec.fingerprint()
-    # same content, different construction order: same fingerprint
-    assert (
-        PerUnitSpec({"mul": 0.9, "*": 0.5}).fingerprint()
-        == PerUnitSpec({"*": 0.5, "mul": 0.9}).fingerprint()
-    )
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS)
-def test_dict_round_trip(spec):
-    assert spec_from_dict(spec.to_dict()) == spec
-    assert completion_spec_from_dict(completion_spec_to_dict(spec)) == spec
-
-
-def test_serialized_spec_checks_format():
-    data = completion_spec_to_dict(BernoulliSpec(0.7))
-    data["format"] = 99
-    with pytest.raises(Exception):
-        completion_spec_from_dict(data)
 
 
 # ----------------------------------------------------------------------

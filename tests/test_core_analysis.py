@@ -1,4 +1,4 @@
-"""Unit tests for ASAP/ALAP/mobility/critical-path analyses."""
+"""Unit tests for ASAP/ALAP/critical-path analyses."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from repro.core.analysis import (
     asap_start_times,
     critical_path,
     finish_times,
-    mobility,
     profile,
     schedule_length,
     uniform_durations,
@@ -71,10 +70,6 @@ class TestAlapAndMobility:
         assert alap["bottom"] == 4
         assert alap["top"] == 2
 
-    def test_mobility_zero_on_critical_path(self, diamond):
-        slack = mobility(diamond)
-        assert slack == {"top": 0, "left": 0, "right": 0, "bottom": 0}
-
     def test_short_horizon_rejected(self, diamond):
         with pytest.raises(GraphError, match="shorter than the critical"):
             alap_start_times(diamond, horizon=2)
@@ -127,6 +122,7 @@ def test_asap_respects_dependencies(dfg):
 @settings(max_examples=30, deadline=None)
 @given(random_dfgs)
 def test_alap_not_before_asap(dfg):
-    """Property: mobility is non-negative everywhere."""
-    slack = mobility(dfg)
-    assert all(v >= 0 for v in slack.values())
+    """Property: no op's latest start precedes its earliest start."""
+    asap = asap_start_times(dfg)
+    alap = alap_start_times(dfg)
+    assert all(alap[name] >= asap[name] for name in asap)

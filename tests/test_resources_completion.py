@@ -13,7 +13,6 @@ from repro.resources.completion import (
     BernoulliCompletion,
     OperandCompletion,
     TraceCompletion,
-    expected_fast_probability,
 )
 from repro.resources.units import TelescopicUnit
 
@@ -36,10 +35,6 @@ class TestBernoulli:
             BernoulliCompletion(0.0).is_fast("o", TAU, None, rng)
             for _ in range(50)
         )
-
-    def test_expected_probability_close(self):
-        p = expected_fast_probability(BernoulliCompletion(0.7), TAU)
-        assert abs(p - 0.7) < 0.02
 
 
 class TestDeterministicModels:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.ops import ResourceClass
 from repro.errors import AllocationError
-from repro.resources.units import FixedDelayUnit, TelescopicUnit, make_unit
+from repro.resources.units import FixedDelayUnit, TelescopicUnit
 
 
 class TestFixedDelayUnit:
@@ -61,15 +61,3 @@ class TestTelescopicUnit:
         tau = TelescopicUnit("TM1", ResourceClass.MULTIPLIER)
         assert tau.completion_signal_name() == "C_TM1"
 
-
-class TestMakeUnit:
-    def test_makes_telescopic(self):
-        unit = make_unit("T1", ResourceClass.MULTIPLIER, telescopic=True)
-        assert isinstance(unit, TelescopicUnit)
-
-    def test_makes_fixed(self):
-        unit = make_unit(
-            "A1", ResourceClass.ADDER, telescopic=False, fixed_delay_ns=12.0
-        )
-        assert isinstance(unit, FixedDelayUnit)
-        assert unit.delay_ns == 12.0

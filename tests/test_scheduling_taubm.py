@@ -3,11 +3,7 @@
 from repro.benchmarks import paper_fig2_dfg
 from repro.resources.allocation import ResourceAllocation
 from repro.scheduling.list_scheduler import list_schedule
-from repro.scheduling.taubm import (
-    derive_taubm_schedule,
-    tau_bound_ops,
-    telescopic_classes,
-)
+from repro.scheduling.taubm import derive_taubm_schedule, telescopic_classes
 from repro.core.ops import ResourceClass
 
 
@@ -56,13 +52,6 @@ class TestHelpers:
     def test_no_telescopic_classes(self):
         alloc = ResourceAllocation.parse("mul:2,add:1")
         assert telescopic_classes(alloc) == frozenset()
-
-    def test_tau_bound_ops(self):
-        dfg = paper_fig2_dfg()
-        alloc = ResourceAllocation.parse("mul:2T,add:1")
-        sched = list_schedule(dfg, alloc)
-        ops = tau_bound_ops(sched, alloc)
-        assert set(ops) == {"o0", "o2", "o3", "o4"}
 
     def test_no_extensions_without_taus(self):
         dfg = paper_fig2_dfg()

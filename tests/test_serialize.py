@@ -1,58 +1,15 @@
 """Tests for JSON serialization of graphs, FSMs and designs."""
 
 import pytest
-from hypothesis import given, settings
 
 from repro.errors import ReproError
 from repro.serialize import (
     design_to_dict,
-    dfg_from_dict,
-    dfg_to_dict,
     dumps,
     fsm_from_dict,
     fsm_to_dict,
     loads,
 )
-
-from conftest import random_dfgs
-
-
-class TestDfgRoundTrip:
-    def test_paper_benchmarks_round_trip(self):
-        from repro.benchmarks import all_benchmarks
-
-        for entry in all_benchmarks():
-            dfg = entry.dfg()
-            clone = dfg_from_dict(loads(dumps(dfg_to_dict(dfg))))
-            assert clone.name == dfg.name
-            assert clone.inputs == dfg.inputs
-            assert clone.op_names() == dfg.op_names()
-            assert clone.outputs == dfg.outputs
-            inputs = {n: i + 1 for i, n in enumerate(dfg.inputs)}
-            assert clone.evaluate(inputs) == dfg.evaluate(inputs)
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ReproError, match="unsupported DFG format"):
-            dfg_from_dict({"format": 99})
-
-    def test_bad_op_type_rejected(self, simple_dfg):
-        data = dfg_to_dict(simple_dfg)
-        data["operations"][0]["type"] = "FROBNICATE"
-        with pytest.raises(ReproError, match="unknown operation type"):
-            dfg_from_dict(data)
-
-    def test_bad_operand_kind_rejected(self, simple_dfg):
-        data = dfg_to_dict(simple_dfg)
-        data["operations"][0]["operands"][0] = {"kind": "???"}
-        with pytest.raises(ReproError, match="unknown operand kind"):
-            dfg_from_dict(data)
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_dfgs)
-    def test_random_graphs_round_trip(self, dfg):
-        clone = dfg_from_dict(dfg_to_dict(dfg))
-        inputs = {n: 2 * i + 1 for i, n in enumerate(dfg.inputs)}
-        assert clone.evaluate(inputs) == dfg.evaluate(inputs)
 
 
 class TestFsmRoundTrip:

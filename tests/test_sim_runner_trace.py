@@ -1,6 +1,4 @@
-"""Unit tests for batch runners and trace utilities."""
-
-import pytest
+"""Unit tests for the batch runners."""
 
 from repro.resources import AllFastCompletion, BernoulliCompletion
 from repro.sim.runner import (
@@ -8,7 +6,6 @@ from repro.sim.runner import (
     pipelined_throughput,
     simulate_assignment,
 )
-from repro.sim.trace import gantt
 
 
 class TestMonteCarloLatency:
@@ -85,22 +82,3 @@ class TestPipelinedThroughput:
             seed=4,
         )
         assert dist_tp <= sync_tp + 1e-9
-
-
-class TestGantt:
-    def test_render(self):
-        text = gantt(
-            start_cycles={"a": 0, "b": 2},
-            finish_cycles={"a": 2, "b": 3},
-            unit_of={"a": "TM1", "b": "TM1"},
-        )
-        assert "TM1" in text
-        assert "#" in text
-
-    def test_overlap_marked(self):
-        text = gantt(
-            start_cycles={"a": 0, "b": 0},
-            finish_cycles={"a": 1, "b": 1},
-            unit_of={"a": "TM1", "b": "TM1"},
-        )
-        assert "!" in text

@@ -3,13 +3,7 @@
 import random
 
 from repro.benchmarks import fir3
-from repro.sim.stimulus import (
-    constant_streams,
-    input_streams,
-    small_values,
-    sparse_values,
-    uniform_values,
-)
+from repro.sim.stimulus import input_streams, small_values, uniform_values
 
 
 class TestValueDistributions:
@@ -23,16 +17,9 @@ class TestValueDistributions:
         dist = small_values(8, 3)
         assert all(dist.sample(rng) < 8 for _ in range(200))
 
-    def test_sparse_popcount(self):
-        rng = random.Random(0)
-        dist = sparse_values(8, 2)
-        for _ in range(200):
-            assert bin(dist.sample(rng)).count("1") <= 2
-
     def test_names(self):
         assert uniform_values(8).name == "uniform8"
         assert small_values(8, 3).name == "small3of8"
-        assert sparse_values(8, 2).name == "sparse2of8"
 
 
 class TestStreams:
@@ -47,12 +34,6 @@ class TestStreams:
         a = input_streams(dfg, uniform_values(8), iterations=3, seed=5)
         b = input_streams(dfg, uniform_values(8), iterations=3, seed=5)
         assert a == b
-
-    def test_constant_streams(self):
-        dfg = fir3()
-        values = {name: 7 for name in dfg.inputs}
-        streams = constant_streams(dfg, values)
-        assert all(v == [7] for v in streams.values())
 
     def test_streams_drive_simulation(self, fig3_result):
         from repro.resources import BernoulliCompletion

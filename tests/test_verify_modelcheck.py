@@ -184,8 +184,9 @@ def _complete_early(target: LintTarget) -> LintTarget:
 def _double_start(target: LintTarget) -> LintTarget:
     """A controller starts a second op of its unit with the first.
 
-    Both starts find the unit idle, so the successor state holds two
-    entries for one unit; the next expansion runs the later one.
+    Both starts find the unit idle; the model checker reports the later
+    one as a double booking (MC-REF) and drops it, where the simulator
+    raises an occupancy error.
     """
     for unit, fsm in target.controllers.items():
         ops = target.bound.ops_on_unit(unit)
@@ -253,6 +254,24 @@ class TestMutationWitnesses:
         assert any(level > 0 for _, level in cex.levels)
         error = cex.replay(bad.distributed.system(), bad.bound)
         assert isinstance(error, ProtocolError)
+
+    def test_same_cycle_double_start_is_double_booking(self):
+        """Two starts on one idle unit in one cycle: MC-REF names the
+        unit, and the replay trips the simulator's occupancy monitor."""
+        entry = benchmark("fir3")
+        result = synthesize(entry.factory(), entry.allocation())
+        bad = _double_start(LintTarget.from_result(result, name="fir3"))
+        (cex,) = [
+            cex
+            for cex in check_target(bad).counterexamples
+            if "starts in the same cycle" in cex.description
+        ]
+        assert cex.rule_id == "MC-REF"
+        assert "unit TM1 double-booked" in cex.description
+        error = cex.replay(bad.distributed.system(), bad.bound)
+        assert isinstance(error, ProtocolError)
+        assert error.kind == "occupancy"
+        assert error.unit == "TM1"
 
     def test_counterexamples_align_with_diagnostics(self, fir5_target):
         fault = next(

@@ -20,12 +20,17 @@ error paths no command triggers, or abstract methods every subclass
 overrides.
 
 Run from anywhere (it takes no arguments and writes only to a
-temporary directory)::
+temporary directory); the listing goes to stdout, the traced commands
+and their exit codes to stderr::
 
-    python tools/reachability.py
+    python tools/reachability.py > tools/reachability.txt
 
-Two checkouts give comparable output: a function that changes between
-reached and unreached shows up as a line in the diff of the listings.
+The committed ``tools/reachability.txt`` is that listing, and CI
+regenerates it and diffs it against the committed copy, so a change to
+``src/repro`` that moves, adds or removes an unreached function
+regenerates the file with the command above.  Two checkouts give
+comparable output: a function that changes between reached and
+unreached shows up as a line in the diff of the listings.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ COMMANDS = (
      "--check-baseline"],
     ["check", "--baseline-dir", str(ROOT / "baselines" / "check"),
      "--check-baseline"],
+    ["check", "fig2", "--format", "json", "-o", "check.json"],
 )
 
 
@@ -160,7 +166,8 @@ def run_commands(log) -> None:
                     code = main(argv)
                 except SystemExit as exit_:
                     code = exit_.code
-        print(f"  exit {code}: repro {' '.join(argv)}", file=log)
+        shown = " ".join(arg.replace(f"{ROOT}{os.sep}", "") for arg in argv)
+        print(f"  exit {code}: repro {shown}", file=log)
 
 
 def run_perfbench(work_dir: str, log) -> None:
