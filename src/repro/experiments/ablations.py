@@ -424,7 +424,7 @@ def run_multilevel(
     sync_expected = analyze_sync(result.taubm, table).expectation
     from functools import partial
 
-    from ..runtime.journal import checkpointed_map
+    from ..perf.engine import parallel_map
 
     system = result.distributed_system()
     run_key = (
@@ -436,7 +436,7 @@ def run_multilevel(
         else ""
     )
     total = sum(
-        checkpointed_map(
+        parallel_map(
             partial(
                 _multilevel_trial,
                 system,
@@ -445,10 +445,10 @@ def run_multilevel(
                 seed,
             ),
             range(trials),
-            run_key=run_key,
-            checkpoint=checkpoint,
             workers=workers,
             policy=policy,
+            checkpoint=checkpoint,
+            run_key=run_key,
         )
     )
     max_extension = max(
@@ -538,8 +538,8 @@ def run_physical(
         DistLatencyEvaluator,
         exact_expected_latency,
     )
+    from ..perf.engine import parallel_map
     from ..resources.completion import OperandCompletion
-    from ..runtime.journal import checkpointed_map
     from ..sim.stimulus import small_values, uniform_values
 
     mult = ArrayMultiplier(width=width)
@@ -566,7 +566,7 @@ def run_physical(
         if checkpoint is not None
         else ""
     )
-    outcomes = checkpointed_map(
+    outcomes = parallel_map(
         partial(
             _physical_trial,
             result.distributed_system(),
@@ -578,10 +578,10 @@ def run_physical(
             seed,
         ),
         range(trials),
-        run_key=run_key,
-        checkpoint=checkpoint,
         workers=workers,
         policy=policy,
+        checkpoint=checkpoint,
+        run_key=run_key,
     )
     total_cycles = sum(cycles for cycles, _, _ in outcomes)
     fast_hits = sum(hits for _, hits, _ in outcomes)

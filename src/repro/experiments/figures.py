@@ -235,20 +235,20 @@ def run_fig4(
     each finished point for byte-identical resume; ``policy`` supervises
     the pool (see :mod:`repro.runtime`).
     """
-    from ..runtime.journal import checkpointed_map
+    from ..perf.engine import parallel_map
 
     run_key = (
         f"fig4|tau_counts={list(tau_counts)!r}"
         if checkpoint is not None
         else ""
     )
-    points = checkpointed_map(
+    points = parallel_map(
         _fig4_point,
         list(tau_counts),
-        run_key=run_key,
-        checkpoint=checkpoint,
         workers=workers,
         policy=policy,
+        checkpoint=checkpoint,
+        run_key=run_key,
     )
     return Fig4Result(
         tau_counts=tuple(tau_counts),

@@ -112,7 +112,7 @@ def run_table2(
     """
     from functools import partial
 
-    from ..runtime.journal import checkpointed_map
+    from ..perf.engine import parallel_map
 
     work = list(entries or table2_benchmarks())
     run_key = (
@@ -121,11 +121,11 @@ def run_table2(
         if checkpoint is not None
         else ""
     )
-    rows = checkpointed_map(
+    rows = parallel_map(
         partial(_table2_row, tuple(ps), exact_limit, trials),
         work,
-        run_key=run_key,
-        checkpoint=checkpoint,
         workers=workers,
+        checkpoint=checkpoint,
+        run_key=run_key,
     )
     return Table2Result(ps=tuple(ps), comparisons=tuple(rows))

@@ -39,7 +39,7 @@ from ..fsm.signals import unit_of_completion
 from ..resources.completion import BernoulliCompletion, CompletionModel
 from ..resources.spec import BernoulliSpec, CompletionSpec, as_completion_spec
 from ..sim.controllers import ControllerSystem
-from ..sim.simulator import MonitorConfig, simulate
+from ..sim.simulator import simulate
 from .models import (
     DelayedCompletionFault,
     DroppedPulseFault,
@@ -411,7 +411,6 @@ def _run_trial(
     """
     style, span, trial = task
     shared = systems[style]
-    monitors = MonitorConfig(handshake=True)
     menu = _fault_menu(shared, bound, span)
     rng = random.Random(f"{seed}:{style}:{trial}")
     fault = menu[rng.randrange(len(menu))](rng)
@@ -441,7 +440,7 @@ def _run_trial(
             completion,
             seed=sim_seed,
             inputs=inputs,
-            monitors=monitors,
+            handshake=True,
         )
     except SimulationError as exc:
         outcome, detector = _classify(exc)
@@ -505,7 +504,7 @@ def run_campaign(
     byte-identical to an uninterrupted run.
     """
     from ..perf.cache import design_fingerprint
-    from ..runtime.journal import checkpointed_map
+    from ..perf.engine import parallel_map
 
     if trials < 1:
         raise SimulationError("a fault campaign needs >= 1 trial")
@@ -535,14 +534,14 @@ def run_campaign(
         if checkpoint is not None
         else ""
     )
-    records = checkpointed_map(
+    records = parallel_map(
         partial(_run_trial, systems, bound, seed, spec, inputs),
         tasks,
-        run_key=run_key,
-        checkpoint=checkpoint,
         workers=workers,
         policy=policy,
         report=report,
+        checkpoint=checkpoint,
+        run_key=run_key,
     )
     return FaultCampaignReport(
         benchmark=name,

@@ -370,9 +370,6 @@ class IntermittentCompletion(DelegatingCompletion):
                 return unit.num_levels - 1
         return level
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return self.sample_level(op_name, unit, operands, rng) == 0
-
     def reset(self) -> None:
         self._count.clear()
         super().reset()

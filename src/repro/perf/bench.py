@@ -117,8 +117,8 @@ def _bench_row(
     """Time the core flows on one benchmark (pool-safe).
 
     Module-level and fully determined by its arguments, so bench rows
-    can be journaled by :func:`~repro.runtime.journal.checkpointed_map`
-    like any other shard.
+    can be journaled by :func:`~repro.perf.engine.parallel_map`'s
+    ``checkpoint`` like any other shard.
     """
     from ..analysis.exact_engine import analyze_dist
     from ..analysis.latency import DistLatencyEvaluator, duration_table
@@ -260,7 +260,7 @@ def run_bench(
     """
     from functools import partial
 
-    from ..runtime.journal import checkpointed_map
+    from .engine import parallel_map
 
     spec = as_completion_spec(p)
     if quick:
@@ -277,15 +277,14 @@ def run_bench(
     )
     # rows run serially here (each row parallelizes its own Monte-Carlo
     # column with ``workers``)
-    row_list = checkpointed_map(
+    row_list = parallel_map(
         partial(
             _bench_row, quick, trials, workers, seed, spec, repeats,
             cache_dir,
         ),
         names,
-        run_key=run_key,
         checkpoint=checkpoint_dir,
-        workers=1,
+        run_key=run_key,
     )
     rows = dict(zip(names, row_list))
     data = {

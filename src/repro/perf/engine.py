@@ -1,10 +1,10 @@
-"""Deterministic parallel trial execution.
+"""Deterministic parallel trial execution: the one map every driver uses.
 
 Every statistical result of the reproduction — Monte-Carlo latency,
 throughput sweeps, fault campaigns, the ablation studies — is a map of
 one pure function over independent trial indices.  :func:`parallel_map`
 executes exactly that shape on a :class:`~concurrent.futures.
-ProcessPoolExecutor` while keeping three guarantees:
+ProcessPoolExecutor` while keeping four guarantees:
 
 1. **Byte-identical results.**  Work items carry everything a trial
    needs; no shared RNG or mutable state crosses trials.  Per-trial
@@ -13,16 +13,18 @@ ProcessPoolExecutor` while keeping three guarantees:
    identity and platform — so a parallel run returns exactly the list a
    serial loop would.
 2. **Chunked submission.**  Items are shipped to workers in contiguous
-   chunks (``chunksize`` items per pickle round-trip), amortizing the
-   serialization of the bound function over many trials.
+   chunks (:func:`default_chunksize` items per pickle round-trip),
+   amortizing the serialization of the bound function over many trials.
 3. **Serial fallback.**  ``workers=1`` or a single item degrade to an
    in-process loop with the same output; an unpicklable
    function/payload (closures, lambdas, open handles) does the same
    but emits a :class:`~repro.errors.SerialFallbackWarning` naming the
    offending payload, so a lost ``-j`` speedup is visible — the engine
    never changes *what* is computed, only *where*.
-4. **Supervision (opt-in).**  A
-   :class:`~repro.runtime.policy.RunPolicy` routes the pool through
+4. **Checkpoint and supervision (opt-in).**  A
+   :class:`~repro.runtime.journal.CheckpointJournal` replays the shards
+   an interrupted run persisted and persists each new one as it arrives.
+   A :class:`~repro.runtime.policy.RunPolicy` routes the pool through
    :func:`repro.runtime.supervisor.supervised_map`: worker crashes
    restart the pool and re-run only the lost chunks, failing items are
    retried with backoff, hung chunks degrade to in-process execution
@@ -40,15 +42,18 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Iterable, Sequence
-from typing import TYPE_CHECKING, TypeVar
+from typing import TypeVar
 
 from ..errors import SerialFallbackWarning, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.policy import RunPolicy, RunReport
+from ..runtime.journal import CheckpointJournal
+from ..runtime.policy import RunPolicy, RunReport, record_event
+from ..runtime.supervisor import supervised_map
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+#: placeholder for a result the journal did not hold
+_MISSING = object()
 
 #: upper bound on auto-resolved worker counts (a fork bomb guard for
 #: machines reporting hundreds of cores)
@@ -147,31 +152,14 @@ def _warn_serial_fallback(
     fn: object, payload: object, report: "RunReport | None"
 ) -> None:
     """Make a lost ``-j`` speedup loud: warning + recovery event."""
-    from ..runtime.policy import record_event
-
     detail = (
         f"payload for {_callable_name(fn)} cannot cross a process "
         f"boundary (first item: {type(payload).__name__}); running "
         f"serially in-process — results are unchanged, the requested "
         f"-j speedup is lost"
     )
-    warnings.warn(SerialFallbackWarning(detail), stacklevel=3)
+    warnings.warn(SerialFallbackWarning(detail), stacklevel=4)
     record_event(report, "serial-fallback", detail)
-
-
-def _serial_map(
-    fn: Callable[[_T], _R],
-    work: Sequence[_T],
-    on_result: "Callable[[int, _R], None] | None",
-    start: int = 0,
-) -> list[_R]:
-    out: list[_R] = []
-    for index, item in enumerate(work, start=start):
-        value = fn(item)
-        if on_result is not None:
-            on_result(index, value)
-        out.append(value)
-    return out
 
 
 class _TrialFailed(Exception):
@@ -195,11 +183,10 @@ def parallel_map(
     items: Iterable[_T],
     *,
     workers: "int | None" = 1,
-    chunksize: "int | None" = None,
     policy: "RunPolicy | None" = None,
     report: "RunReport | None" = None,
-    on_result: "Callable[[int, _R], None] | None" = None,
-    amortize: bool = True,
+    checkpoint: "CheckpointJournal | str | None" = None,
+    run_key: str = "",
 ) -> list[_R]:
     """Order-preserving map of ``fn`` over ``items``.
 
@@ -207,102 +194,139 @@ def parallel_map(
     submission; with ``workers=1`` (the default), one item, or an
     unpicklable ``fn``/payload it runs serially in-process (the
     unpicklable case additionally emits a
-    :class:`~repro.errors.SerialFallbackWarning`).  Both paths return
+    :class:`~repro.errors.SerialFallbackWarning`).  Every path returns
     the same list as ``[fn(x) for x in items]`` — callers get
     determinism for free and opt into parallelism per call.
-
-    ``policy`` (a :class:`~repro.runtime.policy.RunPolicy`) supervises
-    the pool: per-item timeouts, retries with deterministic backoff,
-    pool restarts after worker crashes — see
-    :mod:`repro.runtime.supervisor`.  Recovery events are recorded in
-    ``report`` (or the ambient
-    :func:`~repro.runtime.policy.active_report`).  ``on_result(index,
-    value)`` fires in the calling process once per completed item as
-    its result arrives — in item order, or in completion order under a
-    ``policy`` — so checkpoint journals persist shards through it while
-    the map still runs.
 
     ``fn`` must be a module-level callable (or a ``functools.partial``
     of one) whose captured arguments pickle; per-item randomness must be
     derived from the item itself (see :func:`derive_seed`).
 
-    ``amortize=True`` (the default, skipped under a ``policy``) times
-    the first item in-process and keeps the whole map serial when the
-    estimated remaining work would not amortize the pool startup cost
-    (:data:`POOL_STARTUP_S_PER_WORKER` per worker) — sub-millisecond
-    trials no longer pay a pool that makes them *slower*.  The decision
-    is recorded in ``report`` as a ``parallel-amortization`` event
-    either way, so a silently-serial ``-j`` run stays observable.
-    """
-    from ..runtime.policy import record_event
+    Before starting a plain pool the map times the first item
+    in-process and stays serial when the estimated remaining work would
+    not amortize the pool startup cost (:data:`POOL_STARTUP_S_PER_WORKER`
+    per worker) — sub-millisecond trials never pay a pool that makes
+    them *slower*.  The decision is recorded in ``report`` as a
+    ``parallel-amortization`` event either way, so a silently-serial
+    ``-j`` run stays observable.
 
+    ``policy`` (a :class:`~repro.runtime.policy.RunPolicy`) supervises
+    the pool instead: per-item timeouts, retries with deterministic
+    backoff, pool restarts after worker crashes — see
+    :mod:`repro.runtime.supervisor`.  Recovery events are recorded in
+    ``report`` (or the ambient
+    :func:`~repro.runtime.policy.active_report`).
+
+    ``checkpoint`` (a :class:`~repro.runtime.journal.CheckpointJournal`
+    or a directory) journals the map: shards it already holds under
+    ``run_key`` and the item position are replayed, only the missing
+    items run, and each new result is persisted the moment it reaches
+    the calling process — in item order on the plain pool, in
+    completion order under a ``policy``.  The keys and bytes do not
+    depend on ``workers`` or ``policy``, so serial, parallel and
+    supervised runs resume each other's journals.  The journal's
+    quarantine events go to ``report`` unless it has its own.
+    """
     work: Sequence[_T] = list(items)
-    if not work:
-        return []
+    journal = (
+        checkpoint
+        if checkpoint is None or isinstance(checkpoint, CheckpointJournal)
+        else CheckpointJournal(str(checkpoint))
+    )
+    results: list = [_MISSING] * len(work)
+    keys: list[str] = []
+    if journal is not None:
+        if journal.report is None:
+            journal.report = report
+        keys = [journal.key(run_key, index) for index in range(len(work))]
+        for index, key in enumerate(keys):
+            found, value = journal.get(key)
+            if found:
+                results[index] = value
+    missing = [
+        index for index, value in enumerate(results) if value is _MISSING
+    ]
+
+    def deliver(position: int, value: _R) -> None:
+        index = missing[position]
+        if journal is not None:
+            journal.put(keys[index], value)
+        results[index] = value
+
+    if missing:
+        _compute(fn, [work[index] for index in missing], workers, policy,
+                 report, deliver)
+    return results
+
+
+def _compute(
+    fn: Callable[[_T], _R],
+    work: Sequence[_T],
+    workers: "int | None",
+    policy: "RunPolicy | None",
+    report: "RunReport | None",
+    deliver: Callable[[int, _R], None],
+) -> None:
+    """Compute ``fn`` over ``work``, handing each result to ``deliver``.
+
+    ``deliver(index, value)`` runs in the calling process once per item
+    as its result arrives, so a map that fails or is killed part-way
+    keeps every result delivered before.
+    """
     count = min(resolve_workers(workers), len(work))
     if count > 1 and not (_is_picklable(fn) and _is_picklable(work[0])):
         _warn_serial_fallback(fn, work[0], report)
         count = 1
-    if count <= 1:
-        return _serial_map(fn, work, on_result)
-    prefix: list[_R] = []
     offset = 0
-    if amortize and policy is None:
+    if count > 1 and policy is None:
         started = time.perf_counter()
-        first = fn(work[0])
+        deliver(0, fn(work[0]))
         probe_s = time.perf_counter() - started
-        if on_result is not None:
-            on_result(0, first)
-        prefix = [first]
         offset = 1
-        work = work[1:]
-        count = min(count, len(work))
+        rest = len(work) - 1
+        count = min(count, rest)
         startup_s = POOL_STARTUP_S_PER_WORKER * count
         # the pool saves at most the non-serial share of the remaining
         # serial time; it must beat the startup cost to be worth it
-        saving_s = probe_s * len(work) * (1.0 - 1.0 / count)
-        if saving_s < startup_s:
-            record_event(
-                report,
-                "parallel-amortization",
-                f"{len(work) + 1} items at ~{probe_s * 1e3:.2f} ms each "
-                f"save ~{saving_s * 1e3:.0f} ms across {count} workers, "
-                f"under the ~{startup_s * 1e3:.0f} ms pool startup; "
-                f"running serially (results unchanged)",
-            )
-            return prefix + _serial_map(fn, work, on_result, start=offset)
+        saving_s = probe_s * rest * (1.0 - 1.0 / count)
+        verdict = (
+            f"save ~{saving_s * 1e3:.0f} ms across {count} workers, "
+            f"under the ~{startup_s * 1e3:.0f} ms pool startup; "
+            f"running serially (results unchanged)"
+            if saving_s < startup_s
+            else f"amortize the ~{startup_s * 1e3:.0f} ms pool startup; "
+            f"running on {count} workers"
+        )
         record_event(
             report,
             "parallel-amortization",
-            f"{len(work) + 1} items at ~{probe_s * 1e3:.2f} ms each "
-            f"amortize the ~{startup_s * 1e3:.0f} ms pool startup; "
-            f"running on {count} workers",
+            f"{rest + 1} items at ~{probe_s * 1e3:.2f} ms each {verdict}",
         )
-    if chunksize is None:
-        chunksize = default_chunksize(len(work), count)
+        if saving_s < startup_s:
+            count = 1
+    if count <= 1:
+        for index in range(offset, len(work)):
+            deliver(index, fn(work[index]))
+        return
+    chunksize = default_chunksize(len(work) - offset, count)
     if policy is not None:
-        from ..runtime.supervisor import supervised_map
-
-        return supervised_map(
-            fn,
-            work,
-            workers=count,
-            chunksize=chunksize,
-            policy=policy,
-            report=report,
-            on_result=on_result,
+        supervised_map(
+            fn, work, workers=count, chunksize=chunksize, policy=policy,
+            report=report, on_result=deliver,
         )
-    results: list[_R] = []
+        return
+    done = offset
     trial = functools.partial(_run_trial, fn)
     try:
         with ProcessPoolExecutor(max_workers=count) as pool:
             try:
-                # consumed lazily, so on_result sees each result as it
+                # consumed lazily, so each result is delivered as it
                 # arrives and a failure mid-pool keeps what came before
-                for value in pool.map(trial, work, chunksize=chunksize):
-                    if on_result is not None:
-                        on_result(len(results) + offset, value)
-                    results.append(value)
+                for value in pool.map(
+                    trial, work[offset:], chunksize=chunksize
+                ):
+                    deliver(done, value)
+                    done += 1
             except _TrialFailed:
                 pool.shutdown(cancel_futures=True)
                 raise
@@ -314,9 +338,6 @@ def parallel_map(
         # the pool (a later item, or a result that does not pickle);
         # fall back rather than lose the run, for the items not yet
         # returned.
-        _warn_serial_fallback(fn, work[0], report)
-        done = len(results)
-        return prefix + results + _serial_map(
-            fn, work[done:], on_result, start=offset + done
-        )
-    return prefix + results
+        _warn_serial_fallback(fn, work[offset], report)
+        for index in range(done, len(work)):
+            deliver(index, fn(work[index]))

@@ -1,11 +1,14 @@
 """Completion-signal models for telescopic units.
 
-A completion model answers one question per executed operation: *did this
-operand pair belong to the fast group* (completion signal ``C = 1`` within
-the short delay)?  The paper evaluates everything in terms of the fast-group
-probability ``P``; this module provides that Bernoulli abstraction plus
-deterministic, trace-driven and operand-driven (bit-level) models that all
-plug into the same simulator.
+A completion model answers one question per executed operation: *at which
+telescope level does it complete* (level 0: the completion signal ``C = 1``
+fires within the short delay)?  For the paper's two-level TAUs that is
+whether the operand pair belonged to the fast group, and binary models
+answer with level 0 or the unit's last level.  The paper evaluates
+everything in terms of the fast-group probability ``P``; this module
+provides that Bernoulli abstraction plus deterministic, trace-driven,
+operand-driven (bit-level) and multi-level models that all plug into the
+same simulator.
 """
 
 from __future__ import annotations
@@ -20,23 +23,9 @@ from .units import ArithmeticUnit
 
 
 class CompletionModel(abc.ABC):
-    """Decides, per operation execution, whether the TAU finishes fast."""
+    """Decides, per operation execution, how fast the TAU finishes."""
 
     @abc.abstractmethod
-    def is_fast(
-        self,
-        op_name: str,
-        unit: ArithmeticUnit,
-        operands: "tuple[int, ...] | None",
-        rng: random.Random,
-    ) -> bool:
-        """Return ``True`` when the completion signal fires within SD.
-
-        ``operands`` carries the concrete operand values when the caller
-        runs a value-computing datapath; purely stochastic models ignore
-        it.  Fixed-delay units never consult the model.
-        """
-
     def sample_level(
         self,
         op_name: str,
@@ -46,32 +35,31 @@ class CompletionModel(abc.ABC):
     ) -> int:
         """Telescope level of one execution (0 = fastest).
 
-        The default maps the binary fast/slow answer onto the first/last
-        level — exact for the paper's two-level TAUs; multi-level models
-        override this.
+        ``operands`` carries the concrete operand values when the caller
+        runs a value-computing datapath; purely stochastic models ignore
+        it.  Fixed-delay units never consult the model.
         """
-        if self.is_fast(op_name, unit, operands, rng):
-            return 0
-        return unit.num_levels - 1
 
     def reset(self) -> None:
         """Reset any per-run state (trace cursors, ...)."""
+
+
+def _binary_level(fast: bool, unit: ArithmeticUnit) -> int:
+    """A fast/slow answer as a telescope level: the first or the last."""
+    return 0 if fast else unit.num_levels - 1
 
 
 @dataclass
 class DelegatingCompletion(CompletionModel):
     """Base for models that wrap and selectively override another model.
 
-    Forwards ``is_fast``/``sample_level``/``reset`` to ``inner`` verbatim;
-    subclasses override only the behaviour they change.  This is the hook
-    the fault-injection layer (:mod:`repro.faults`) uses to perturb
+    Forwards ``sample_level``/``reset`` to ``inner`` verbatim; subclasses
+    override only the behaviour they change.  This is the hook the
+    fault-injection layer (:mod:`repro.faults`) uses to perturb
     completion behaviour without re-implementing the wrapped model.
     """
 
     inner: CompletionModel
-
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return self.inner.is_fast(op_name, unit, operands, rng)
 
     def sample_level(self, op_name, unit, operands, rng) -> int:
         return self.inner.sample_level(op_name, unit, operands, rng)
@@ -94,8 +82,8 @@ class BernoulliCompletion(CompletionModel):
         if not 0.0 <= self.p <= 1.0:
             raise SimulationError(f"P must be in [0, 1], got {self.p}")
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return rng.random() < self.p
+    def sample_level(self, op_name, unit, operands, rng) -> int:
+        return _binary_level(rng.random() < self.p, unit)
 
 
 def resolve_unit_probability(
@@ -150,9 +138,10 @@ class PerUnitCompletion(CompletionModel):
                     f"P[{key}] must be in [0, 1], got {p}"
                 )
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return rng.random() < resolve_unit_probability(
-            self.probabilities, unit
+    def sample_level(self, op_name, unit, operands, rng) -> int:
+        return _binary_level(
+            rng.random() < resolve_unit_probability(self.probabilities, unit),
+            unit,
         )
 
 
@@ -181,7 +170,7 @@ class MarkovCompletion(CompletionModel):
                 f"stickiness must be in [0, 1), got {self.stickiness}"
             )
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
+    def sample_level(self, op_name, unit, operands, rng) -> int:
         after_fast, after_slow = markov_transition_probabilities(
             self.p_fast, self.stickiness
         )
@@ -194,7 +183,7 @@ class MarkovCompletion(CompletionModel):
             threshold = after_slow
         fast = rng.random() < threshold
         self._last[unit.name] = fast
-        return fast
+        return _binary_level(fast, unit)
 
     def reset(self) -> None:
         self._last.clear()
@@ -204,16 +193,16 @@ class MarkovCompletion(CompletionModel):
 class AllFastCompletion(CompletionModel):
     """Best case: every operand pair is in the fast group."""
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return True
+    def sample_level(self, op_name, unit, operands, rng) -> int:
+        return 0
 
 
 @dataclass
 class AllSlowCompletion(CompletionModel):
     """Worst case: every operand pair needs the long delay."""
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return False
+    def sample_level(self, op_name, unit, operands, rng) -> int:
+        return unit.num_levels - 1
 
 
 @dataclass
@@ -229,7 +218,7 @@ class TraceCompletion(CompletionModel):
     trace: Mapping[str, Sequence[bool]]
     _cursor: dict[str, int] = field(default_factory=dict, repr=False)
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
+    def sample_level(self, op_name, unit, operands, rng) -> int:
         if op_name not in self.trace:
             raise SimulationError(f"no completion trace for {op_name!r}")
         index = self._cursor.get(op_name, 0)
@@ -240,7 +229,7 @@ class TraceCompletion(CompletionModel):
                 f"{len(seq)} executions"
             )
         self._cursor[op_name] = index + 1
-        return bool(seq[index])
+        return _binary_level(seq[index], unit)
 
     def reset(self) -> None:
         self._cursor.clear()
@@ -257,13 +246,14 @@ class AssignmentCompletion(CompletionModel):
 
     fast: Mapping[str, bool]
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
+    def sample_level(self, op_name, unit, operands, rng) -> int:
         try:
-            return self.fast[op_name]
+            fast = self.fast[op_name]
         except KeyError:
             raise SimulationError(
                 f"no fast/slow assignment for {op_name!r}"
             ) from None
+        return _binary_level(fast, unit)
 
 
 @dataclass
@@ -277,7 +267,7 @@ class OperandCompletion(CompletionModel):
 
     csg_by_unit: Mapping[str, "object"]
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
+    def sample_level(self, op_name, unit, operands, rng) -> int:
         if operands is None:
             raise SimulationError(
                 "OperandCompletion needs concrete operand values; run the "
@@ -289,7 +279,7 @@ class OperandCompletion(CompletionModel):
             raise SimulationError(
                 f"no completion-signal generator for unit {unit.name!r}"
             ) from None
-        return bool(csg.is_fast(*operands))
+        return _binary_level(csg.is_fast(*operands), unit)
 
 
 @dataclass
@@ -297,7 +287,7 @@ class CategoricalCompletion(CompletionModel):
     """Independent categorical level outcomes (multi-level VCAUs).
 
     ``probabilities[i]`` is the chance an execution completes at level
-    ``i``; must sum to 1.  ``is_fast`` reports level 0 for binary callers.
+    ``i``; must sum to 1.
     """
 
     probabilities: Sequence[float]
@@ -327,9 +317,6 @@ class CategoricalCompletion(CompletionModel):
                 return level
         return len(self.probabilities) - 1
 
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return self.sample_level(op_name, unit, operands, rng) == 0
-
 
 @dataclass(frozen=True)
 class LevelAssignmentCompletion(CompletionModel):
@@ -349,6 +336,3 @@ class LevelAssignmentCompletion(CompletionModel):
                 f"level {level} out of range for unit {unit.name!r}"
             )
         return level
-
-    def is_fast(self, op_name, unit, operands, rng) -> bool:
-        return self.sample_level(op_name, unit, operands, rng) == 0

@@ -29,11 +29,11 @@ in the checkpoint directory:
 Shard files of the older one-file-per-shard layout (``*.shard.pkl``)
 are not read: a directory holding only those recomputes its trials.
 
-:func:`checkpointed_map` is the driver-facing wrapper: replay the
-shards the journal already has, compute only the missing ones (through
-:func:`~repro.perf.engine.parallel_map`, so supervision and
-parallelism compose), and persist each new result as it arrives.  A
-resumed run therefore produces output byte-identical to an
+Drivers journal a map by passing ``checkpoint=`` to
+:func:`~repro.perf.engine.parallel_map`, which replays the shards the
+journal already has, computes only the missing ones (serially, on a
+pool or under supervision) and persists each new result as it arrives.
+A resumed run therefore produces output byte-identical to an
 uninterrupted one.
 
 Shards are pickles: the journal is a private scratch format for
@@ -49,20 +49,12 @@ import hashlib
 import os
 import pickle
 import tempfile
-from collections.abc import Callable, Iterable, Sequence
-from typing import TypeVar
 
 from ..errors import CheckpointError, CheckpointInterrupted
-from .policy import RunPolicy, RunReport, record_event
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+from .policy import RunReport, record_event
 
 #: name of the record log inside a checkpoint directory
 LOG_NAME = "journal.log"
-
-#: placeholder for a shard the journal does not have
-_MISSING = object()
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -295,73 +287,3 @@ class CheckpointJournal:
             for name in entries
             if name.endswith(".corrupt")
         )
-
-
-def resolve_journal(
-    checkpoint: "CheckpointJournal | str | None",
-) -> "CheckpointJournal | None":
-    """Accept a journal, a directory path, or ``None``."""
-    if checkpoint is None or isinstance(checkpoint, CheckpointJournal):
-        return checkpoint
-    return CheckpointJournal(str(checkpoint))
-
-
-def checkpointed_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    *,
-    run_key: str,
-    checkpoint: "CheckpointJournal | str | None",
-    workers: "int | None" = 1,
-    chunksize: "int | None" = None,
-    policy: "RunPolicy | None" = None,
-    report: "RunReport | None" = None,
-) -> list:
-    """:func:`~repro.perf.engine.parallel_map` through a journal.
-
-    Shards already in the journal (keyed by ``run_key`` and item
-    position) are replayed; only the missing items are computed, and
-    each new result is persisted the moment it reaches the calling
-    process — in item order on the plain pool, out of order under a
-    :class:`~repro.runtime.policy.RunPolicy`, which is safe because the
-    shard id is the item's position.  With ``checkpoint=None`` this is
-    exactly ``parallel_map``.  The keys and bytes do not depend on
-    ``workers`` or ``policy``, so serial, parallel and supervised runs
-    resume each other's checkpoint directories.
-    """
-    from ..perf.engine import parallel_map
-
-    journal = resolve_journal(checkpoint)
-    if journal is not None and journal.report is None:
-        journal.report = report
-    work: Sequence[_T] = list(items)
-    if journal is None:
-        return parallel_map(
-            fn, work, workers=workers, chunksize=chunksize,
-            policy=policy, report=report,
-        )
-    keys = [journal.key(run_key, index) for index in range(len(work))]
-    results: list = []
-    missing: list[int] = []
-    for index, key in enumerate(keys):
-        found, value = journal.get(key)
-        results.append(value if found else _MISSING)
-        if not found:
-            missing.append(index)
-    if missing:
-
-        def persist(position: int, value) -> None:
-            index = missing[position]
-            journal.put(keys[index], value)
-            results[index] = value
-
-        parallel_map(
-            fn,
-            [work[index] for index in missing],
-            workers=workers,
-            chunksize=chunksize,
-            policy=policy,
-            report=report,
-            on_result=persist,
-        )
-    return results

@@ -1,8 +1,9 @@
 """Supervised process pools: crash-, hang- and failure-tolerant maps.
 
-:func:`supervised_map` executes the same order-preserving, pure map as
-:func:`repro.perf.engine.parallel_map`, but under a
-:class:`~repro.runtime.policy.RunPolicy`:
+:func:`supervised_map` is the pool loop
+:func:`repro.perf.engine.parallel_map` runs when it is given a
+:class:`~repro.runtime.policy.RunPolicy`; it computes the same
+order-preserving, pure map, but under that policy:
 
 * **Worker crashes** (``BrokenProcessPoolError``) restart the pool and
   re-run only the lost chunks.  A crash inside a multi-item chunk is
@@ -104,7 +105,7 @@ def supervised_map(
     chunksize: int,
     policy: RunPolicy,
     report: "RunReport | None" = None,
-    on_result: "Callable[[int, _R], None] | None" = None,
+    on_result: "Callable[[int, _R], None]",
 ) -> list:
     """Order-preserving map of ``fn`` over ``items`` under supervision.
 
@@ -113,8 +114,8 @@ def supervised_map(
     hung chunks are recovered per ``policy`` instead of aborting the
     run.  ``on_result(index, value)`` is invoked in the supervising
     process as each item completes (in completion order, each index
-    exactly once) — the checkpoint journal's incremental-persistence
-    hook.
+    exactly once) — the hook through which ``parallel_map`` journals
+    each result as it arrives.
 
     Raises :class:`~repro.errors.SupervisionError` when an item
     exhausts its budget under ``on_failure="retry"``/``"raise"``.
@@ -145,8 +146,7 @@ def supervised_map(
         if results[index] is not _PENDING:
             return
         results[index] = value
-        if on_result is not None:
-            on_result(index, value)
+        on_result(index, value)
 
     def single(index: int) -> _Chunk:
         return _Chunk(indices=(index,), items=(work[index],))
@@ -320,5 +320,7 @@ def supervised_map(
                     "hung workers exhausted the pool; rebuilt"
                 )
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # join a pool that holds nothing abandoned, so no worker outlives
+        # the map; one still running a hung chunk is left to finish
+        pool.shutdown(wait=not (abandoned or pending), cancel_futures=True)
     return results

@@ -20,7 +20,7 @@ from .runner import (
     pipelined_throughput,
     simulate_assignment,
 )
-from .simulator import MonitorConfig, SimulationResult, simulate
+from .simulator import SimulationResult, simulate
 from .trace import CycleRecord, SimulationTrace
 from .stimulus import (
     ValueDistribution,
@@ -36,7 +36,6 @@ __all__ = [
     "CycleRecord",
     "Datapath",
     "LatencyStatistics",
-    "MonitorConfig",
     "SimulationResult",
     "SimulationTrace",
     "SystemConfig",

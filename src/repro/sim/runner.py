@@ -184,7 +184,7 @@ def monte_carlo_latency(
             raise SimulationError(
                 "engine='batch' requires numpy and <= 63 operations"
             )
-    from ..runtime.journal import checkpointed_map
+    from ..perf.engine import parallel_map
 
     # fingerprinting costs a serialization pass; only pay it when a
     # journal actually needs the run key
@@ -193,14 +193,14 @@ def monte_carlo_latency(
         if checkpoint is not None
         else ""
     )
-    samples = checkpointed_map(
+    samples = parallel_map(
         partial(_latency_trial, system, bound, spec, seed),
         range(trials),
-        run_key=run_key,
-        checkpoint=checkpoint,
         workers=workers,
         policy=policy,
         report=report,
+        checkpoint=checkpoint,
+        run_key=run_key,
     )
     return LatencyStatistics.from_samples(samples)
 

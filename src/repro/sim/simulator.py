@@ -14,7 +14,7 @@ CENT-FSM — clock edge by clock edge:
 
 Every run checks unit occupancy, completion timing and quiescent
 deadlock, and raises the structured errors of :mod:`repro.errors` when
-one fails; :class:`MonitorConfig` adds the opt-in handshake check.
+one fails; ``simulate(handshake=True)`` adds the opt-in handshake check.
 
 The first-iteration latency this measures is exactly what the paper's
 Table 2 reports; the analytic engine in :mod:`repro.analysis` must agree
@@ -33,23 +33,6 @@ from ..resources.completion import CompletionModel
 from .controllers import ControllerSystem
 from .datapath import Datapath
 from .trace import CycleRecord, SimulationTrace
-
-
-@dataclass(frozen=True)
-class MonitorConfig:
-    """The opt-in runtime monitor of the simulator.
-
-    The occupancy, timing and deadlock monitors always run: they check
-    invariants of every correct control unit, so they can only fire when
-    something (a fault injector, a hand-mutated FSM) broke the protocol.
-    ``handshake`` promotes token overruns on the completion-arrival latches
-    to :class:`~repro.errors.ProtocolError`; overruns are *legal* under
-    overlapped iterations (they mark where a real design needs deeper
-    buffering), so strict handshake checking is opt-in and meant for
-    single-iteration fault campaigns.
-    """
-
-    handshake: bool = False
 
 
 @dataclass(frozen=True)
@@ -94,21 +77,26 @@ def simulate(
     inputs: "Mapping[str, int | Sequence[int]] | None" = None,
     record_trace: bool = False,
     max_cycles: "int | None" = None,
-    monitors: "MonitorConfig | None" = None,
+    handshake: bool = False,
 ) -> SimulationResult:
     """Run a controller system until every op completed ``iterations`` times.
 
     ``inputs`` enables the value-computing datapath (required for
     operand-dependent completion models).  ``max_cycles`` bounds the run
-    and turns controller livelocks into errors instead of hangs.  The
-    occupancy, timing and quiescence-deadlock monitors always run;
-    ``monitors`` turns on strict handshake checking (see
-    :class:`MonitorConfig`).  Protocol violations raise
+    and turns controller livelocks into errors instead of hangs.
+
+    The occupancy, timing and quiescence-deadlock monitors always run:
+    they check invariants of every correct control unit, so they can
+    only fire when something (a fault injector, a hand-mutated FSM)
+    broke the protocol.  ``handshake=True`` also promotes token overruns
+    on the completion-arrival latches to
+    :class:`~repro.errors.ProtocolError`; overruns are *legal* under
+    overlapped iterations (they mark where a real design needs deeper
+    buffering), so strict handshake checking is opt-in and meant for
+    single-iteration fault campaigns.  Protocol violations raise
     :class:`~repro.errors.ProtocolError` and stalls raise
     :class:`~repro.errors.DeadlockError` with machine-readable context.
     """
-    if monitors is None:
-        monitors = MonitorConfig()
     if iterations < 1:
         raise SimulationError("iterations must be >= 1")
     completion.reset()
@@ -327,7 +315,7 @@ def simulate(
             starts = sorted(starts)
         for op in starts:
             begin(op, cycle + 1)
-        if monitors.handshake and result.overruns:
+        if handshake and result.overruns:
             edges = tuple(sorted(result.overruns))
             listed = ", ".join(
                 f"{ctrl}: {producer}->{consumer}"

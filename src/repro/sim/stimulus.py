@@ -126,7 +126,7 @@ class CounterexampleStimulus:
         *not* raise the expected error — the one outcome a sound
         counterexample must never produce.
         """
-        from .simulator import MonitorConfig, simulate
+        from .simulator import simulate
 
         expected: type
         expected = (
@@ -139,7 +139,7 @@ class CounterexampleStimulus:
                 self.completion_model(),
                 iterations=1,
                 max_cycles=max_cycles,
-                monitors=MonitorConfig(handshake=self.handshake),
+                handshake=self.handshake,
             )
         except expected as exc:
             return exc

@@ -318,9 +318,6 @@ class _Explorer:
         states, flags, entries, done = self.states[state_id]
         ops, units, op_slot = self.ops, self.units, self.op_slot
         L, n_ops = self.L, len(ops)
-        # Only an initial state can hold two entries for one unit (a
-        # controller that starts two of its unit's ops at cycle 0); the
-        # later entry is the one that runs.
         executing = {code // self.span: code for code in entries}
         c_word = 0
         for slot, code in executing.items():
@@ -495,14 +492,33 @@ class _Explorer:
     def run(self) -> None:
         queue: "deque[int]" = deque()
         # Initial states: branch over the levels of the cycle-0 starts.
-        starts = [
-            self.ops.index(op) for op in sorted(self.system.initial_starts())
-        ]
+        # As in _expand, of two starts on one unit the first in op
+        # (name) order runs and the later one is dropped.
+        starts: list[int] = []
+        doubles: list[tuple[int, int]] = []  # (dropped op, running op)
+        taken: dict[int, int] = {}  # unit slot -> op started at cycle 0
+        for op in sorted(self.system.initial_starts()):
+            i = self.ops.index(op)
+            first = taken.setdefault(self.op_slot[i], i)
+            if first == i:
+                starts.append(i)
+            else:
+                doubles.append((i, first))
         states = self.system.initial_config().states
         for combo in product(*(self.start_options[i] for i in starts)):
             entries = tuple(sorted(code for code, _ in combo))
             recorded = tuple(choice for _, choice in combo if choice)
             self._admit((states, 0, entries, 0), -1, recorded, queue)
+        for i, first in doubles:
+            self._record(
+                "MC-REF",
+                f"op:{self.ops[i]}",
+                f"unit {self.units[self.op_slot[i]]} double-booked: "
+                f"{self.ops[i]} starts in the same cycle as "
+                f"{self.ops[first]} (depth 0)",
+                0,
+                expects="protocol",
+            )
         for i in starts:
             if self.preds[i]:
                 self._record(

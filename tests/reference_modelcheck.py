@@ -343,7 +343,17 @@ class ReferenceExplorer:
     # -- the run ---------------------------------------------------------
     def run(self) -> None:
         queue: "deque[int]" = deque()
-        initial_starts = tuple(sorted(self.system.initial_starts()))
+        # Of two cycle-0 starts on one unit the first in name order
+        # runs; the later one is dropped, as in _start_ops.
+        initial_starts: list[str] = []
+        doubles: list[tuple[str, str]] = []  # (dropped op, running op)
+        started: dict[str, str] = {}  # unit -> op started at cycle 0
+        for op in sorted(self.system.initial_starts()):
+            first = started.setdefault(self.unit_of[op], op)
+            if first == op:
+                initial_starts.append(op)
+            else:
+                doubles.append((op, first))
         config = self.system.initial_config()
         branch = [(op, self.levels_of[op]) for op in initial_starts]
         combos: list[tuple[tuple[str, int], ...]] = [()]
@@ -369,6 +379,15 @@ class ReferenceExplorer:
                 config=config, executing=entries, done=frozenset()
             )
             self._admit(state, -1, recorded, queue)
+        for op, first in doubles:
+            self._record(
+                "MC-REF",
+                f"op:{op}",
+                f"unit {self.unit_of[op]} double-booked: {op} starts in "
+                f"the same cycle as {first} (depth 0)",
+                0,
+                expects="protocol",
+            )
         for op in initial_starts:
             if self.preds[op]:
                 self._record(

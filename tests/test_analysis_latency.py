@@ -4,8 +4,6 @@ import pytest
 
 from repro.analysis.latency import (
     DistLatencyEvaluator,
-    LatencyComparison,
-    compare_latencies,
     dist_latency_cycles,
     exact_expected_latency,
     expected_latency,

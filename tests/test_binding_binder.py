@@ -7,7 +7,6 @@ from repro.binding.binder import BoundDataflowGraph, bind
 from repro.core.ops import ResourceClass
 from repro.errors import BindingError
 from repro.resources.allocation import ResourceAllocation
-from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.order_based import order_based_schedule
 
 

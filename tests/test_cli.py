@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import pytest
-
 from repro.cli import main
 
 

@@ -183,7 +183,7 @@ def test_markov_transition_probabilities_stationary():
 def test_markov_completion_is_sticky_and_resets():
     model = MarkovCompletion(p_fast=0.5, stickiness=0.9)
     rng = random.Random(7)
-    draws = [model.is_fast("m1", TM1, (), rng) for _ in range(400)]
+    draws = [model.sample_level("m1", TM1, (), rng) for _ in range(400)]
     # with stickiness 0.9 consecutive draws agree far more often than
     # the 50/50 independent baseline would
     agree = sum(a == b for a, b in zip(draws, draws[1:]))
@@ -196,10 +196,11 @@ def test_markov_zero_stickiness_matches_bernoulli():
     markov = MarkovCompletion(p_fast=0.7, stickiness=0.0)
     bernoulli = BernoulliCompletion(0.7)
     a = [
-        markov.is_fast("m1", TM1, (), random.Random(s)) for s in range(50)
+        markov.sample_level("m1", TM1, (), random.Random(s))
+        for s in range(50)
     ]
     b = [
-        bernoulli.is_fast("m1", TM1, (), random.Random(s))
+        bernoulli.sample_level("m1", TM1, (), random.Random(s))
         for s in range(50)
     ]
     assert a == b

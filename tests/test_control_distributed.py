@@ -1,7 +1,5 @@
 """Unit tests for the distributed control unit integration (Fig. 7)."""
 
-import pytest
-
 from repro.control.distributed import build_distributed_control_unit
 from repro.control.netlist import completion_netlist
 from repro.fsm.algorithm1 import derive_all_unit_controllers

@@ -1,7 +1,5 @@
 """End-to-end edge cases: degenerate graphs through the full flow."""
 
-import pytest
-
 from repro.api import synthesize
 from repro.analysis.latency import DistLatencyEvaluator
 from repro.core.builder import DFGBuilder

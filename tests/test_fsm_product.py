@@ -5,7 +5,7 @@ import pytest
 from repro.benchmarks import fig4_pathological_dfg
 from repro.api import synthesize
 from repro.errors import FSMError
-from repro.fsm.product import build_cent_fsm, build_product_fsm
+from repro.fsm.product import build_product_fsm
 
 
 class TestProductStructure:

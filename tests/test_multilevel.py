@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.exact_engine import analyze_dist
 from repro.analysis.latency import DistLatencyEvaluator, duration_table
 from repro.api import synthesize
-from repro.benchmarks import fir3, paper_fig3_dfg
+from repro.benchmarks import fir3
 from repro.core.ops import ResourceClass
 from repro.errors import AllocationError, SimulationError
 from repro.resources import (

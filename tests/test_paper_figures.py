@@ -1,8 +1,6 @@
 """Golden structural tests: the figure experiments reproduce the paper's
 claims (Figs. 1–7)."""
 
-import pytest
-
 from repro.experiments import (
     run_fig1_adder,
     run_fig1_multiplier,

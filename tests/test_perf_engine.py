@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -33,18 +34,25 @@ class _Unpicklable:
         raise TypeError("cannot pickle _Unpicklable")
 
 
+# The pool tests below use trials slow enough that the amortization
+# probe (the first item, run in-process) always picks the pool.
+
+
 def _fails_on_twelve(item):
     IN_PROCESS_CALLS.append(item)
+    time.sleep(0.03)
     if item == 12:
         raise TypeError(f"trial {item} failed on its own")
     return item * item
 
 
 def _unpicklable_result(item):
+    time.sleep(0.1)
     return item, _Unpicklable()
 
 
 def _describe(item):
+    time.sleep(0.1)
     return item if isinstance(item, int) else "unpicklable"
 
 
@@ -150,10 +158,8 @@ class TestParallelMap:
         IN_PROCESS_CALLS.clear()
         with active_report() as report:
             with pytest.raises(TypeError, match="trial 12 failed"):
-                parallel_map(
-                    _fails_on_twelve, range(20), workers=2, amortize=False
-                )
-        assert IN_PROCESS_CALLS == []
+                parallel_map(_fails_on_twelve, range(20), workers=2)
+        assert IN_PROCESS_CALLS == [0]  # the probe, and no rerun
         assert report.count("serial-fallback") == 0
         assert not [
             w for w in recwarn if issubclass(
@@ -168,9 +174,7 @@ class TestParallelMap:
         items = [1, 2, 3, _Unpicklable(), 5, 6]
         with active_report() as report:
             with pytest.warns(SerialFallbackWarning, match="_describe"):
-                out = parallel_map(
-                    _describe, items, workers=2, amortize=False
-                )
+                out = parallel_map(_describe, items, workers=2)
         assert out == [1, 2, 3, "unpicklable", 5, 6]
         assert report.count("serial-fallback") == 1
 
@@ -179,9 +183,7 @@ class TestParallelMap:
 
         with active_report() as report:
             with pytest.warns(SerialFallbackWarning):
-                out = parallel_map(
-                    _unpicklable_result, range(6), workers=2, amortize=False
-                )
+                out = parallel_map(_unpicklable_result, range(6), workers=2)
         assert [item for item, _ in out] == list(range(6))
         assert report.count("serial-fallback") == 1
 

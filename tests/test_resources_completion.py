@@ -28,55 +28,55 @@ class TestBernoulli:
     def test_degenerate_probabilities(self):
         rng = random.Random(1)
         assert all(
-            BernoulliCompletion(1.0).is_fast("o", TAU, None, rng)
+            BernoulliCompletion(1.0).sample_level("o", TAU, None, rng) == 0
             for _ in range(50)
         )
-        assert not any(
-            BernoulliCompletion(0.0).is_fast("o", TAU, None, rng)
+        assert all(
+            BernoulliCompletion(0.0).sample_level("o", TAU, None, rng) == 1
             for _ in range(50)
         )
 
 
 class TestDeterministicModels:
     def test_all_fast(self):
-        assert AllFastCompletion().is_fast("o", TAU, None, RNG)
+        assert AllFastCompletion().sample_level("o", TAU, None, RNG) == 0
 
     def test_all_slow(self):
-        assert not AllSlowCompletion().is_fast("o", TAU, None, RNG)
+        assert AllSlowCompletion().sample_level("o", TAU, None, RNG) == 1
 
 
 class TestTrace:
     def test_replays_in_order(self):
         model = TraceCompletion({"o": [True, False, True]})
-        seq = [model.is_fast("o", TAU, None, RNG) for _ in range(3)]
-        assert seq == [True, False, True]
+        seq = [model.sample_level("o", TAU, None, RNG) for _ in range(3)]
+        assert seq == [0, 1, 0]
 
     def test_exhaustion_raises(self):
         model = TraceCompletion({"o": [True]})
-        model.is_fast("o", TAU, None, RNG)
+        model.sample_level("o", TAU, None, RNG)
         with pytest.raises(SimulationError, match="exhausted"):
-            model.is_fast("o", TAU, None, RNG)
+            model.sample_level("o", TAU, None, RNG)
 
     def test_missing_op_raises(self):
         with pytest.raises(SimulationError, match="no completion trace"):
-            TraceCompletion({}).is_fast("o", TAU, None, RNG)
+            TraceCompletion({}).sample_level("o", TAU, None, RNG)
 
     def test_reset_restarts(self):
         model = TraceCompletion({"o": [True]})
-        model.is_fast("o", TAU, None, RNG)
+        model.sample_level("o", TAU, None, RNG)
         model.reset()
-        assert model.is_fast("o", TAU, None, RNG)
+        assert model.sample_level("o", TAU, None, RNG) == 0
 
 
 class TestAssignment:
     def test_lookup(self):
         model = AssignmentCompletion({"a": True, "b": False})
-        assert model.is_fast("a", TAU, None, RNG)
-        assert not model.is_fast("b", TAU, None, RNG)
+        assert model.sample_level("a", TAU, None, RNG) == 0
+        assert model.sample_level("b", TAU, None, RNG) == 1
 
     def test_missing_raises(self):
         with pytest.raises(SimulationError, match="no fast/slow"):
-            AssignmentCompletion({}).is_fast("x", TAU, None, RNG)
+            AssignmentCompletion({}).sample_level("x", TAU, None, RNG)
 
 
 class TestOperandCompletion:
@@ -86,15 +86,15 @@ class TestOperandCompletion:
 
     def test_uses_operands(self):
         model = OperandCompletion({"TM1": self._StubCsg()})
-        assert model.is_fast("o", TAU, (2, 3), RNG)
-        assert not model.is_fast("o", TAU, (20, 3), RNG)
+        assert model.sample_level("o", TAU, (2, 3), RNG) == 0
+        assert model.sample_level("o", TAU, (20, 3), RNG) == 1
 
     def test_requires_operands(self):
         model = OperandCompletion({"TM1": self._StubCsg()})
         with pytest.raises(SimulationError, match="operand values"):
-            model.is_fast("o", TAU, None, RNG)
+            model.sample_level("o", TAU, None, RNG)
 
     def test_requires_csg(self):
         model = OperandCompletion({})
         with pytest.raises(SimulationError, match="no completion-signal"):
-            model.is_fast("o", TAU, (1, 2), RNG)
+            model.sample_level("o", TAU, (1, 2), RNG)

@@ -11,12 +11,9 @@ import time
 import pytest
 
 from repro.errors import CheckpointError, CheckpointInterrupted
-from repro.runtime import CheckpointJournal, active_report, checkpointed_map
-from repro.runtime.journal import (
-    LOG_NAME,
-    atomic_write_bytes,
-    resolve_journal,
-)
+from repro.perf.engine import default_chunksize, parallel_map
+from repro.runtime import CheckpointJournal, active_report
+from repro.runtime.journal import LOG_NAME, atomic_write_bytes
 from repro.runtime.policy import RunReport
 
 
@@ -142,23 +139,18 @@ class TestCheckpointJournal:
             journal.put(journal.key("r", 2), 2)
         assert excinfo.value.shards_written == 2
 
-    def test_resolve_journal(self, tmp_path):
-        assert resolve_journal(None) is None
-        journal = CheckpointJournal(str(tmp_path / "ck"))
-        assert resolve_journal(journal) is journal
-        made = resolve_journal(str(tmp_path / "other"))
-        assert isinstance(made, CheckpointJournal)
-
 
 class TestCheckpointedMap:
+    """``parallel_map`` through a checkpoint journal."""
+
     def test_without_journal_is_plain_map(self):
-        assert checkpointed_map(
+        assert parallel_map(
             _double, range(5), run_key="", checkpoint=None
         ) == [0, 2, 4, 6, 8]
 
     def test_shards_written_incrementally_and_replayed(self, tmp_path):
         path = str(tmp_path / "ck")
-        out = checkpointed_map(
+        out = parallel_map(
             _double, range(6), run_key="run", checkpoint=path
         )
         assert out == [0, 2, 4, 6, 8, 10]
@@ -169,7 +161,7 @@ class TestCheckpointedMap:
         ]
         assert keys == [CheckpointJournal.key("run", i) for i in range(6)]
         replay = CheckpointJournal(path)
-        again = checkpointed_map(
+        again = parallel_map(
             _double, range(6), run_key="run", checkpoint=replay
         )
         assert again == out
@@ -179,11 +171,11 @@ class TestCheckpointedMap:
         path = str(tmp_path / "ck")
         limited = CheckpointJournal(path, max_new_shards=3)
         with pytest.raises(CheckpointInterrupted):
-            checkpointed_map(
+            parallel_map(
                 _double, range(10), run_key="run", checkpoint=limited
             )
         assert limited.new_shards == 3
-        resumed = checkpointed_map(
+        resumed = parallel_map(
             _double, range(10), run_key="run",
             checkpoint=CheckpointJournal(path),
         )
@@ -191,38 +183,39 @@ class TestCheckpointedMap:
 
     def test_run_keys_do_not_cross_replay(self, tmp_path):
         path = str(tmp_path / "ck")
-        checkpointed_map(_double, range(3), run_key="a", checkpoint=path)
+        parallel_map(_double, range(3), run_key="a", checkpoint=path)
         fresh = CheckpointJournal(path)
-        checkpointed_map(str, range(3), run_key="b", checkpoint=fresh)
+        parallel_map(str, range(3), run_key="b", checkpoint=fresh)
         assert fresh.replayed == 0 and fresh.new_shards == 3
 
     def test_parallel_and_serial_share_a_journal(self, tmp_path):
         path = str(tmp_path / "ck")
-        first = checkpointed_map(
+        first = parallel_map(
             _double, range(8), run_key="run", checkpoint=path, workers=2
         )
         replay = CheckpointJournal(path)
-        second = checkpointed_map(
+        second = parallel_map(
             _double, range(8), run_key="run", checkpoint=replay, workers=1
         )
         assert first == second
         assert replay.replayed == 8
 
-    @pytest.mark.parametrize("chunksize, persisted", [(1, 15), (3, 13)])
+    @pytest.mark.parametrize("chunk, persisted", [(3, 13)])
     def test_pool_persists_results_before_a_failure(
-        self, tmp_path, chunksize, persisted
+        self, tmp_path, chunk, persisted
     ):
         # the pool returns a chunk as one result, so a failing item
-        # also loses the chunk-mates computed with it: with chunks of 3
-        # after the probe's item 0, item 15 shares a chunk with 13, 14
+        # also loses the chunk-mates computed with it: with the default
+        # chunks of 3 after the probe's item 0, item 15 shares a chunk
+        # with 13, 14
+        assert default_chunksize(19, 2) == chunk
         path = str(tmp_path / "ck")
         journal = CheckpointJournal(path)
         report = RunReport()
         with pytest.raises(ValueError):
-            checkpointed_map(
+            parallel_map(
                 _slow_square_failing_at_15, range(20), run_key="pool",
-                checkpoint=journal, workers=2, chunksize=chunksize,
-                report=report,
+                checkpoint=journal, workers=2, report=report,
             )
         decisions = [
             event.detail for event in report.events
@@ -231,7 +224,7 @@ class TestCheckpointedMap:
         assert len(decisions) == 1 and "running on 2 workers" in decisions[0]
         assert journal.new_shards == persisted
         resumed = CheckpointJournal(path)
-        out = checkpointed_map(
+        out = parallel_map(
             _slow_square, range(20), run_key="pool", checkpoint=resumed
         )
         assert out == [x * x for x in range(20)]
@@ -255,7 +248,7 @@ class TestTornShardMidCampaign:
         baseline = [item * item for item in items]
 
         with pytest.raises(CheckpointInterrupted):
-            checkpointed_map(
+            parallel_map(
                 lambda item: item * item,
                 items,
                 run_key=RUN_KEY,
@@ -265,7 +258,7 @@ class TestTornShardMidCampaign:
         CORRUPTIONS[tear](log)
 
         report = RunReport()
-        resumed = checkpointed_map(
+        resumed = parallel_map(
             lambda item: item * item,
             items,
             run_key=RUN_KEY,
@@ -278,7 +271,7 @@ class TestTornShardMidCampaign:
         # the recomputed shard re-verifies: a third pass is pure replay
         replay_journal = CheckpointJournal(path)
         assert (
-            checkpointed_map(
+            parallel_map(
                 lambda item: item * item,
                 items,
                 run_key=RUN_KEY,

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+from concurrent.futures.process import _ExecutorManagerThread
 from functools import partial
 
 import pytest
@@ -113,6 +116,23 @@ class TestSupervisedMap:
         assert out == [x * x for x in range(23)]
         assert report.recoveries == 0
 
+    def test_clean_return_leaves_no_pool_running(self):
+        """A supervised map that abandoned nothing joins its pool: no
+        worker process or executor manager thread outlives it."""
+        before_children = set(multiprocessing.active_children())
+        before_threads = set(threading.enumerate())
+        out = parallel_map(
+            _square, range(40), workers=2, policy=RunPolicy()
+        )
+        assert out == [x * x for x in range(40)]
+        assert set(multiprocessing.active_children()) <= before_children
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if isinstance(thread, _ExecutorManagerThread)
+            and thread not in before_threads
+        ]
+
     def test_worker_crash_recovered(self, tmp_path):
         report = RunReport()
         policy = RunPolicy(
@@ -194,8 +214,7 @@ class TestSupervisedMap:
             ),
         )
         out = parallel_map(
-            _square, range(4), workers=2, chunksize=1,
-            policy=policy, report=report,
+            _square, range(4), workers=2, policy=policy, report=report,
         )
         assert out == [0, 1, 4, 9]
         assert report.count("timeout") >= 1

@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.benchmarks import paper_fig2_dfg, paper_fig3_dfg
+from repro.benchmarks import paper_fig2_dfg
 from repro.core.ops import ResourceClass
 from repro.errors import SchedulingError
-from repro.resources.allocation import ResourceAllocation
 from repro.scheduling.asap_alap import asap_schedule
 from repro.scheduling.schedule import (
     OrderSchedule,
-    TaubmSchedule,
     TaubmStep,
     TimeStepSchedule,
 )
-from repro.scheduling.taubm import derive_taubm_schedule
 
 
 class TestTimeStepSchedule:

@@ -1,5 +1,7 @@
 """Runtime invariant monitors: diagnostics, soundness, the handshake switch."""
 
+import inspect
+
 import pytest
 
 from repro.api import synthesize
@@ -11,7 +13,7 @@ from repro.faults import (
     inject,
 )
 from repro.resources import AllFastCompletion, AllSlowCompletion
-from repro.sim import MonitorConfig, simulate
+from repro.sim import simulate
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +126,7 @@ class TestHandshakeMonitor:
                 fir5_result.bound,
                 AllFastCompletion(),
                 iterations=8,
-                monitors=MonitorConfig(handshake=True),
+                handshake=True,
             )
         assert excinfo.value.kind == "overrun"
         assert excinfo.value.edges  # names the overrun latches
@@ -134,16 +136,19 @@ class TestHandshakeMonitor:
             fig3_result.distributed_system(),
             fig3_result.bound,
             AllFastCompletion(),
-            monitors=MonitorConfig(handshake=True),
+            handshake=True,
         )
         assert result.token_overruns == 0
 
 
 class TestMonitorConfig:
+    """The monitor configuration: ``simulate``'s ``handshake`` switch."""
+
     def test_defaults_are_fault_free_safe(self):
         """Overruns are legal in fault-free overlapped runs, so the
         strict handshake monitor is off unless asked for."""
-        assert not MonitorConfig().handshake
+        param = inspect.signature(simulate).parameters["handshake"]
+        assert param.default is False
 
     def test_default_monitors_pass_clean_runs(self, fig3_result):
         """Every monitor on, handshake included: a clean single-iteration
@@ -157,6 +162,6 @@ class TestMonitorConfig:
             fig3_result.distributed_system(),
             fig3_result.bound,
             AllFastCompletion(),
-            monitors=MonitorConfig(handshake=True),
+            handshake=True,
         )
         assert plain.cycles == strict.cycles

@@ -26,6 +26,9 @@ from repro.pipeline.manager import run_synthesis_pipeline
 from repro.sim.stimulus import CounterexampleStimulus
 from repro.verify import LintTarget
 from repro.verify.modelcheck import (
+    DEFAULT_MAX_FRONTIER,
+    DEFAULT_MAX_STATES,
+    _Explorer,
     check_benchmark,
     check_result,
     check_target,
@@ -272,6 +275,44 @@ class TestMutationWitnesses:
         assert isinstance(error, ProtocolError)
         assert error.kind == "occupancy"
         assert error.unit == "TM1"
+
+    def test_cycle_zero_double_start_is_double_booking(self):
+        """Two cycle-0 starts on one unit: the first in name order runs,
+        the later one is an MC-REF double booking that replays as the
+        simulator's occupancy error, and no explored state ever holds
+        two entries for one unit."""
+        entry = benchmark("fir3")
+        result = synthesize(entry.factory(), entry.allocation())
+        bad = _start_early(LintTarget.from_result(result, name="fir3"))
+        (cex,) = [
+            cex
+            for cex in check_target(bad).counterexamples
+            if "double-booked" in cex.description
+        ]
+        assert cex.rule_id == "MC-REF"
+        assert cex.description == (
+            "unit TM1 double-booked: m2 starts in the same cycle as m0 "
+            "(depth 0)"
+        )
+        error = cex.replay(bad.distributed.system(), bad.bound)
+        assert isinstance(error, ProtocolError)
+        assert error.kind == "occupancy"
+        assert error.unit == "TM1"
+        for name in ("fir3", "fir5", "diffeq", "iir2"):
+            entry = benchmark(name)
+            mutant = _start_early(
+                LintTarget.from_result(
+                    synthesize(entry.factory(), entry.allocation()),
+                    name=name,
+                )
+            )
+            explorer = _Explorer(
+                mutant, DEFAULT_MAX_STATES, DEFAULT_MAX_FRONTIER
+            )
+            explorer.run()
+            for _, _, entries, _ in explorer.states:
+                slots = [code // explorer.span for code in entries]
+                assert len(slots) == len(set(slots)), name
 
     def test_counterexamples_align_with_diagnostics(self, fir5_target):
         fault = next(
